@@ -11,9 +11,11 @@ report file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -144,23 +146,46 @@ def _search_budget() -> Optional[int]:
 
 
 def _emit(record: dict, report_path: Optional[str], witness: Optional[Interpretation]) -> dict:
+    """Append the record to the report, numbered by its line in the report.
+
+    The number also names the record's witness file, so every invocation
+    that appends to one report writes its witness under a fresh name.
+    """
     if report_path:
+        record["seq"] = _count_lines(report_path) + 1
         if witness is not None:
             witness_path = f"{report_path}.witness{record['seq']}.model"
-            Path(witness_path).write_text(serialize(witness, "witness"), encoding="utf-8")
+            _write_atomic(witness_path, serialize(witness, "witness"))
             record["witness"] = witness_path
         with open(report_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     return record
 
 
-_SEQ = 0
+def _count_lines(path: str) -> int:
+    try:
+        with open(path, "rb") as fh:
+            return sum(1 for _ in fh)
+    except FileNotFoundError:
+        return 0
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write through a temporary file in the same directory, so a reader
+    never sees a partly written file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=os.path.basename(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _record(command: str, outcome: str, bound: Optional[int], **extra) -> dict:
-    global _SEQ
-    _SEQ += 1
-    rec = {"command": command, "outcome": outcome, "bound": bound, "witness": None, "seq": _SEQ}
+    rec = {"command": command, "outcome": outcome, "bound": bound, "witness": None, "seq": None}
     rec.update(extra)
     return rec
 
@@ -294,3 +319,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -5,6 +5,16 @@ one aspect of one term: its individual element, its concept subset, its role
 relation, or the subset interpreting a context top. Usage analysis keeps the
 branching limited to aspects the axioms actually read.
 
+Denotations are int masks over the domain {0..n-1}: an individual is an int,
+a concept or context top has bit x set for each member x, and a role has bit
+x*n+y set for each pair (x, y), so increasing bit order is the sorted-pair
+order. Each component gets an integer slot once per call; a partial
+assignment is a list indexed by slot, with None for unassigned. Each axiom is
+compiled once per call into closures over slots: an exact evaluator, an
+interval evaluator, and bound producers. The closures take the domain size
+at run time, so one compilation and one plan serve every size. Witnesses are
+decoded back into frozensets only when the `Interpretation` is built.
+
 Pruning machinery, in order of impact:
 
 * axiom constraints that pin a component from one side (assertions, atomic
@@ -26,7 +36,8 @@ claim for every domain of size <= n over the ontology's signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from functools import cache, cached_property
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
     AtLeast,
@@ -57,7 +68,7 @@ from .core import (
     Top,
     TopCtx,
 )
-from .semantics import (
+from .semantics import (  # noqa: F401  eval_*/satisfies: re-exported replay evaluator
     DEFAULT_OPTIONS,
     BoundTooLargeError,
     EvalOptions,
@@ -66,7 +77,6 @@ from .semantics import (
     NoModelUpTo,
     NotEntailed,
     SatisfiableAt,
-    _closure,
     eval_concept,
     eval_role,
     satisfies,
@@ -78,12 +88,18 @@ DEFAULT_BUDGET = 1_000_000_000
 IND, CONC, ROLE, TOPCTX = "i", "c", "r", "t"
 
 CompKey = tuple[str, object]
+Slots = dict  # CompKey -> slot index, filled as constraints are compiled
+Vals = list  # slot -> int (individual) / mask, or None while unassigned
 
 
 def _comp_sort_key(comp: CompKey) -> tuple[str, str]:
     aspect, key = comp
     name = key.name if isinstance(key, Term) else str(key)
     return (aspect, name)
+
+
+def _slot(slots: Slots, comp: CompKey) -> int:
+    return slots.setdefault(comp, len(slots))
 
 
 # ---------------------------------------------------------------------------
@@ -149,224 +165,381 @@ def _axiom_comps(ax: Axiom) -> frozenset[CompKey]:
 
 
 # ---------------------------------------------------------------------------
-# Partial interpretations
+# Mask operations
 # ---------------------------------------------------------------------------
 
 
-class _PartialView:
-    """Mutable interpretation view over the components assigned so far.
+class _Domain:
+    """Mask constants of the domain {0..n-1}."""
 
-    Duck-types the Interpretation protocol the evaluator reads.
-    """
+    __slots__ = ("n", "full", "pairs", "rep")
 
-    __slots__ = ("size", "indiv", "conc", "role", "top_ctx")
+    def __init__(self, n: int):
+        self.n = n
+        self.full = (1 << n) - 1  # every element
+        self.pairs = (1 << n * n) - 1  # every pair
+        self.rep = sum(1 << x * n for x in range(n))  # concept * rep = that concept in every row
 
-    def __init__(self, size: int):
-        self.size = size
-        self.indiv: dict[Term, int] = {}
-        self.conc: dict[Term, frozenset[int]] = {}
-        self.role: dict[Term, frozenset[tuple[int, int]]] = {}
-        self.top_ctx: dict[str, frozenset[int]] = {}
 
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(range(self.size))
+def _exists(rel: int, c: int, d: _Domain) -> int:
+    m = rel & c * d.rep
+    n, full = d.n, d.full
+    out, x = 0, 0
+    while m:
+        if m & full:
+            out |= 1 << x
+        m >>= n
+        x += 1
+    return out
 
-    def individual(self, t: Term) -> int:
-        return self.indiv[t]
 
-    def concept(self, t: Term) -> frozenset[int]:
-        return self.conc[t]
+def _forall(rel: int, c: int, d: _Domain) -> int:
+    return d.full ^ _exists(rel, d.full ^ c, d)
 
-    def relation(self, t: Term) -> frozenset[tuple[int, int]]:
-        return self.role[t]
 
-    def context_top(self, ctx_id: str) -> frozenset[int]:
-        return self.top_ctx[ctx_id]
+def _at_most(rel: int, c: int, k: int, d: _Domain) -> int:
+    """Elements with at most k rel-successors in c."""
+    m = rel & c * d.rep
+    n, full = d.n, d.full
+    out = 0
+    for x in range(n):
+        if (m >> x * n & full).bit_count() <= k:
+            out |= 1 << x
+    return out
 
-    def assign(self, comp: CompKey, value) -> None:
-        aspect, key = comp
-        if aspect == IND:
-            self.indiv[key] = value
-        elif aspect == CONC:
-            self.conc[key] = value
-        elif aspect == ROLE:
-            self.role[key] = value
-        else:
-            self.top_ctx[key] = value
 
-    def unassign(self, comp: CompKey) -> None:
-        aspect, key = comp
-        if aspect == IND:
-            self.indiv.pop(key, None)
-        elif aspect == CONC:
-            self.conc.pop(key, None)
-        elif aspect == ROLE:
-            self.role.pop(key, None)
-        else:
-            self.top_ctx.pop(key, None)
+def _inverse(rel: int, d: _Domain) -> int:
+    n = d.n
+    out = 0
+    while rel:
+        low = rel & -rel
+        bit = low.bit_length() - 1
+        out |= 1 << (bit % n * n + bit // n)
+        rel ^= low
+    return out
+
+
+def _compose(left: int, right: int, d: _Domain) -> int:
+    n, full = d.n, d.full
+    rows = [right >> y * n & full for y in range(n)]
+    out = 0
+    for x in range(n):
+        row, acc, y = left >> x * n & full, 0, 0
+        while row:
+            if row & 1:
+                acc |= rows[y]
+            row >>= 1
+            y += 1
+        out |= acc << x * n
+    return out
+
+
+def _closure(rel: int, d: _Domain, reflexive: bool) -> int:
+    """Transitive (Warshall) closure, plus the diagonal when `reflexive`."""
+    n, full = d.n, d.full
+    rows = [rel >> x * n & full for x in range(n)]
+    for k in range(n):
+        bit, row_k = 1 << k, rows[k]
+        for x in range(n):
+            if rows[x] & bit:
+                rows[x] |= row_k
+    out = 0
+    for x, row in enumerate(rows):
+        out |= (row | 1 << x if reflexive else row) << x * n
+    return out
+
+
+def _product(left: int, right: int, d: _Domain) -> int:
+    n = d.n
+    out, x = 0, 0
+    while left:
+        if left & 1:
+            out |= right << x * n
+        left >>= 1
+        x += 1
+    return out
+
+
+def _submasks(lower: int, free: int) -> Iterator[int]:
+    """`lower | s` for every submask s of `free`, in increasing order of s."""
+    sub = 0
+    while True:
+        yield lower | sub
+        if sub == free:
+            return
+        sub = (sub - free) & free
+
+
+def _decode_set(mask: int) -> frozenset[int]:
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+@cache
+def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(divmod(b, n) for b in range(n * n))
+
+
+def _decode_pairs(mask: int, n: int) -> frozenset[tuple[int, int]]:
+    table = _pair_table(n)
+    return frozenset(table[b] for b in range(mask.bit_length()) if mask >> b & 1)
 
 
 # ---------------------------------------------------------------------------
-# Interval (three-valued) evaluation under partial assignments
+# Expression compilation
 # ---------------------------------------------------------------------------
 #
-# Each expression gets a lower/upper approximation: lo is contained in the
-# value under every completion of the assignment, hi contains it. Unassigned
-# atoms contribute (empty, everything). This decides many axioms long before
-# all their components are assigned, which is what keeps single wide axioms
-# from forcing full enumeration.
+# An exact closure `f(vals, dom) -> mask` reads components that are all
+# assigned. An interval closure `f(vals, dom) -> (lo, hi)` works under a
+# partial assignment: lo is contained in the value under every completion,
+# hi contains it, and unassigned atoms contribute (empty, everything). This
+# decides many axioms long before all their components are assigned, which
+# is what keeps single wide axioms from forcing full enumeration.
+
+Exact = Callable[[Vals, _Domain], int]
+Interval = Callable[[Vals, _Domain], tuple[int, int]]
 
 
-def _ival_concept(c, view, n: int, options: EvalOptions) -> tuple[frozenset, frozenset]:
-    domain = frozenset(range(n))
-    if isinstance(c, Top):
-        return domain, domain
-    if isinstance(c, Bottom):
-        return frozenset(), frozenset()
-    if isinstance(c, TopCtx):
-        val = view.top_ctx.get(c.ctx_id)
-        return (val, val) if val is not None else (frozenset(), domain)
-    if isinstance(c, ConceptAtom):
-        val = view.conc.get(c.term)
-        return (val, val) if val is not None else (frozenset(), domain)
-    if isinstance(c, ConceptUnion):
-        lo1, hi1 = _ival_concept(c.left, view, n, options)
-        lo2, hi2 = _ival_concept(c.right, view, n, options)
-        return lo1 | lo2, hi1 | hi2
-    if isinstance(c, ConceptIntersection):
-        lo1, hi1 = _ival_concept(c.left, view, n, options)
-        lo2, hi2 = _ival_concept(c.right, view, n, options)
-        return lo1 & lo2, hi1 & hi2
-    if isinstance(c, ConceptNeg):
-        lo, hi = _ival_concept(c.sub, view, n, options)
-        return domain - hi, domain - lo
-    if isinstance(c, Exists):
-        rlo, rhi = _ival_role(c.role, view, n, options)
-        clo, chi = _ival_concept(c.concept, view, n, options)
-        return (
-            frozenset(x for x, y in rlo if y in clo),
-            frozenset(x for x, y in rhi if y in chi),
-        )
-    if isinstance(c, Forall):
-        rlo, rhi = _ival_role(c.role, view, n, options)
-        clo, chi = _ival_concept(c.concept, view, n, options)
-        lo = frozenset(x for x in domain if all(y in clo for x2, y in rhi if x2 == x))
-        hi = frozenset(x for x in domain if all(y in chi for x2, y in rlo if x2 == x))
-        return lo, hi
-    if isinstance(c, (AtMost, AtLeast)):
-        rlo, rhi = _ival_role(c.role, view, n, options)
-        clo, chi = _ival_concept(c.concept, view, n, options)
-        lo_set, hi_set = set(), set()
-        for x in domain:
-            min_count = sum(1 for x2, y in rlo if x2 == x and y in clo)
-            max_count = sum(1 for x2, y in rhi if x2 == x and y in chi)
-            if isinstance(c, AtMost):
-                if max_count <= c.bound:
-                    lo_set.add(x)
-                if min_count <= c.bound:
-                    hi_set.add(x)
-            else:
-                if min_count >= c.bound:
-                    lo_set.add(x)
-                if max_count >= c.bound:
-                    hi_set.add(x)
-        return frozenset(lo_set), frozenset(hi_set)
-    if isinstance(c, Nominals):
-        assigned = [view.indiv[u] for u in c.members if u in view.indiv]
-        lo = frozenset(assigned)
-        if len(assigned) == len(c.members):
-            return lo, lo
-        return lo, domain
-    raise TypeError(f"not a concept expression: {c!r}")
+def _exact(e, slots: Slots, reflexive: bool) -> Exact:
+    if isinstance(e, Top):
+        return lambda v, d: d.full
+    if isinstance(e, Bottom):
+        return lambda v, d: 0
+    if isinstance(e, (TopCtx, ConceptAtom, RoleAtom)):
+        s = _slot(slots, _atom_comp(e))
+        return lambda v, d: v[s]
+    if isinstance(e, Nominals):
+        members = [_slot(slots, (IND, u)) for u in e.members]
+
+        def nominals(v, d):
+            out = 0
+            for s in members:
+                out |= 1 << v[s]
+            return out
+
+        return nominals
+    if isinstance(e, (ConceptUnion, RoleUnion)):
+        f, g = _exact(e.left, slots, reflexive), _exact(e.right, slots, reflexive)
+        return lambda v, d: f(v, d) | g(v, d)
+    if isinstance(e, (ConceptIntersection, RoleIntersection)):
+        f, g = _exact(e.left, slots, reflexive), _exact(e.right, slots, reflexive)
+        return lambda v, d: f(v, d) & g(v, d)
+    if isinstance(e, ConceptNeg):
+        f = _exact(e.sub, slots, reflexive)
+        return lambda v, d: d.full ^ f(v, d)
+    if isinstance(e, RoleNeg):
+        f = _exact(e.sub, slots, reflexive)
+        return lambda v, d: d.pairs ^ f(v, d)
+    if isinstance(e, (Exists, Forall, AtMost, AtLeast)):
+        r, c = _exact(e.role, slots, reflexive), _exact(e.concept, slots, reflexive)
+        if isinstance(e, Exists):
+            return lambda v, d: _exists(r(v, d), c(v, d), d)
+        if isinstance(e, Forall):
+            return lambda v, d: _forall(r(v, d), c(v, d), d)
+        k = e.bound
+        if isinstance(e, AtMost):
+            return lambda v, d: _at_most(r(v, d), c(v, d), k, d)
+        return lambda v, d: d.full ^ _at_most(r(v, d), c(v, d), k - 1, d)
+    if isinstance(e, (Inverse, Closure)):
+        f, op = _exact(e.sub, slots, reflexive), _role_op(e, reflexive)
+        return lambda v, d: op(f(v, d), d)
+    if isinstance(e, (Compose, Product)):
+        f, g = _exact(e.left, slots, reflexive), _exact(e.right, slots, reflexive)
+        op = _compose if isinstance(e, Compose) else _product
+        return lambda v, d: op(f(v, d), g(v, d), d)
+    raise TypeError(f"not an expression: {e!r}")
 
 
-def _ival_role(r, view, n: int, options: EvalOptions) -> tuple[frozenset, frozenset]:
-    if isinstance(r, RoleAtom):
-        val = view.role.get(r.term)
-        if val is not None:
-            return val, val
-        full = frozenset((x, y) for x in range(n) for y in range(n))
-        return frozenset(), full
-    if isinstance(r, RoleUnion):
-        lo1, hi1 = _ival_role(r.left, view, n, options)
-        lo2, hi2 = _ival_role(r.right, view, n, options)
-        return lo1 | lo2, hi1 | hi2
-    if isinstance(r, RoleIntersection):
-        lo1, hi1 = _ival_role(r.left, view, n, options)
-        lo2, hi2 = _ival_role(r.right, view, n, options)
-        return lo1 & lo2, hi1 & hi2
-    if isinstance(r, RoleNeg):
-        lo, hi = _ival_role(r.sub, view, n, options)
-        full = frozenset((x, y) for x in range(n) for y in range(n))
-        return full - hi, full - lo
-    if isinstance(r, Inverse):
-        lo, hi = _ival_role(r.sub, view, n, options)
-        return frozenset((y, x) for x, y in lo), frozenset((y, x) for x, y in hi)
-    if isinstance(r, Compose):
-        lo1, hi1 = _ival_role(r.left, view, n, options)
-        lo2, hi2 = _ival_role(r.right, view, n, options)
-        return _compose(lo1, lo2), _compose(hi1, hi2)
-    if isinstance(r, Closure):
-        lo, hi = _ival_role(r.sub, view, n, options)
-        domain = frozenset(range(n))
-        return _closure(lo, domain, options), _closure(hi, domain, options)
-    if isinstance(r, Product):
-        lo1, hi1 = _ival_concept(r.left, view, n, options)
-        lo2, hi2 = _ival_concept(r.right, view, n, options)
-        return (
-            frozenset((x, y) for x in lo1 for y in lo2),
-            frozenset((x, y) for x in hi1 for y in hi2),
-        )
-    raise TypeError(f"not a role expression: {r!r}")
+def _interval(e, slots: Slots, reflexive: bool) -> Interval:
+    if isinstance(e, Top):
+        return lambda v, d: (d.full, d.full)
+    if isinstance(e, Bottom):
+        return lambda v, d: (0, 0)
+    if isinstance(e, (TopCtx, ConceptAtom)):
+        s = _slot(slots, _atom_comp(e))
+
+        def set_atom(v, d):
+            val = v[s]
+            return (val, val) if val is not None else (0, d.full)
+
+        return set_atom
+    if isinstance(e, RoleAtom):
+        s = _slot(slots, _atom_comp(e))
+
+        def role_atom(v, d):
+            val = v[s]
+            return (val, val) if val is not None else (0, d.pairs)
+
+        return role_atom
+    if isinstance(e, Nominals):
+        members = [_slot(slots, (IND, u)) for u in e.members]
+
+        def nominals(v, d):
+            lo, complete = 0, True
+            for s in members:
+                x = v[s]
+                if x is None:
+                    complete = False
+                else:
+                    lo |= 1 << x
+            return (lo, lo) if complete else (lo, d.full)
+
+        return nominals
+    if isinstance(e, (ConceptUnion, RoleUnion)):
+        f, g = _interval(e.left, slots, reflexive), _interval(e.right, slots, reflexive)
+
+        def union(v, d):
+            (lo1, hi1), (lo2, hi2) = f(v, d), g(v, d)
+            return lo1 | lo2, hi1 | hi2
+
+        return union
+    if isinstance(e, (ConceptIntersection, RoleIntersection)):
+        f, g = _interval(e.left, slots, reflexive), _interval(e.right, slots, reflexive)
+
+        def intersection(v, d):
+            (lo1, hi1), (lo2, hi2) = f(v, d), g(v, d)
+            return lo1 & lo2, hi1 & hi2
+
+        return intersection
+    if isinstance(e, ConceptNeg):
+        f = _interval(e.sub, slots, reflexive)
+
+        def complement(v, d):
+            lo, hi = f(v, d)
+            return d.full ^ hi, d.full ^ lo
+
+        return complement
+    if isinstance(e, RoleNeg):
+        f = _interval(e.sub, slots, reflexive)
+
+        def role_complement(v, d):
+            lo, hi = f(v, d)
+            return d.pairs ^ hi, d.pairs ^ lo
+
+        return role_complement
+    if isinstance(e, (Exists, Forall, AtMost, AtLeast)):
+        r, c = _interval(e.role, slots, reflexive), _interval(e.concept, slots, reflexive)
+        if isinstance(e, Exists):
+
+            def exists(v, d):
+                (rlo, rhi), (clo, chi) = r(v, d), c(v, d)
+                return _exists(rlo, clo, d), _exists(rhi, chi, d)
+
+            return exists
+        if isinstance(e, Forall):
+
+            def forall(v, d):
+                (rlo, rhi), (clo, chi) = r(v, d), c(v, d)
+                return _forall(rhi, clo, d), _forall(rlo, chi, d)
+
+            return forall
+        k = e.bound
+        if isinstance(e, AtMost):
+
+            def at_most(v, d):
+                (rlo, rhi), (clo, chi) = r(v, d), c(v, d)
+                return _at_most(rhi, chi, k, d), _at_most(rlo, clo, k, d)
+
+            return at_most
+
+        def at_least(v, d):
+            (rlo, rhi), (clo, chi) = r(v, d), c(v, d)
+            return d.full ^ _at_most(rlo, clo, k - 1, d), d.full ^ _at_most(rhi, chi, k - 1, d)
+
+        return at_least
+    if isinstance(e, (Inverse, Closure)):
+        f, op = _interval(e.sub, slots, reflexive), _role_op(e, reflexive)
+
+        def monotone(v, d):
+            lo, hi = f(v, d)
+            return op(lo, d), op(hi, d)
+
+        return monotone
+    if isinstance(e, (Compose, Product)):
+        f, g = _interval(e.left, slots, reflexive), _interval(e.right, slots, reflexive)
+        op = _compose if isinstance(e, Compose) else _product
+
+        def pointwise(v, d):
+            (lo1, hi1), (lo2, hi2) = f(v, d), g(v, d)
+            return op(lo1, lo2, d), op(hi1, hi2, d)
+
+        return pointwise
+    raise TypeError(f"not an expression: {e!r}")
 
 
-def _compose(left: frozenset, right: frozenset) -> frozenset:
-    by_source: dict[int, set[int]] = {}
-    for z, y in right:
-        by_source.setdefault(z, set()).add(y)
-    return frozenset((x, y) for x, z in left for y in by_source.get(z, ()))
+def _role_op(e, reflexive: bool) -> Callable[[int, _Domain], int]:
+    if isinstance(e, Inverse):
+        return _inverse
+    return lambda rel, d: _closure(rel, d, reflexive)
 
 
-def _decide_axiom(ax: Axiom, view, n: int, options: EvalOptions) -> Optional[bool]:
-    """True / False when the axiom is settled under every completion of the
-    current partial assignment; None when still open."""
-    if isinstance(ax, ConceptSub):
-        llo, lhi = _ival_concept(ax.left, view, n, options)
-        rlo, rhi = _ival_concept(ax.right, view, n, options)
-        if lhi <= rlo:
-            return True
-        if llo - rhi:
-            return False
-        return None
-    if isinstance(ax, RoleSub):
-        llo, lhi = _ival_role(ax.left, view, n, options)
-        rlo, rhi = _ival_role(ax.right, view, n, options)
-        if lhi <= rlo:
-            return True
-        if llo - rhi:
-            return False
-        return None
+def _atom_comp(e) -> CompKey:
+    if isinstance(e, TopCtx):
+        return (TOPCTX, e.ctx_id)
+    return (CONC if isinstance(e, ConceptAtom) else ROLE, e.term)
+
+
+def _compile_holds(ax: Axiom, slots: Slots, reflexive: bool) -> Callable[[Vals, _Domain], bool]:
+    """Whether the axiom holds under a total assignment of its components."""
+    if isinstance(ax, (ConceptSub, RoleSub)):
+        f, g = _exact(ax.left, slots, reflexive), _exact(ax.right, slots, reflexive)
+        return lambda v, d: not f(v, d) & ~g(v, d)
     if isinstance(ax, ConceptAssert):
-        if ax.individual not in view.indiv:
-            return None
-        e = view.indiv[ax.individual]
-        lo, hi = _ival_concept(ax.concept, view, n, options)
-        if e in lo:
-            return True
-        if e not in hi:
-            return False
-        return None
+        c, s = _exact(ax.concept, slots, reflexive), _slot(slots, (IND, ax.individual))
+        return lambda v, d: c(v, d) >> v[s] & 1 == 1
     if isinstance(ax, RoleAssert):
-        if ax.subject not in view.indiv or ax.object not in view.indiv:
+        r = _exact(ax.role, slots, reflexive)
+        s, o = _slot(slots, (IND, ax.subject)), _slot(slots, (IND, ax.object))
+        return lambda v, d: r(v, d) >> v[s] * d.n + v[o] & 1 == 1
+    raise TypeError(f"not an axiom: {ax!r}")
+
+
+def _compile_decide(ax: Axiom, slots: Slots, reflexive: bool) -> Callable[[Vals, _Domain], Optional[bool]]:
+    """True / False when the axiom is settled under every completion of the
+    partial assignment; None when still open."""
+    if isinstance(ax, (ConceptSub, RoleSub)):
+        f, g = _interval(ax.left, slots, reflexive), _interval(ax.right, slots, reflexive)
+
+        def decide_sub(v, d):
+            (llo, lhi), (rlo, rhi) = f(v, d), g(v, d)
+            if not lhi & ~rlo:
+                return True
+            if llo & ~rhi:
+                return False
             return None
-        pair = (view.indiv[ax.subject], view.indiv[ax.object])
-        lo, hi = _ival_role(ax.role, view, n, options)
-        if pair in lo:
-            return True
-        if pair not in hi:
-            return False
-        return None
+
+        return decide_sub
+    if isinstance(ax, ConceptAssert):
+        c, s = _interval(ax.concept, slots, reflexive), _slot(slots, (IND, ax.individual))
+
+        def decide_member(v, d):
+            e = v[s]
+            if e is None:
+                return None
+            lo, hi = c(v, d)
+            if lo >> e & 1:
+                return True
+            if not hi >> e & 1:
+                return False
+            return None
+
+        return decide_member
+    if isinstance(ax, RoleAssert):
+        r = _interval(ax.role, slots, reflexive)
+        s, o = _slot(slots, (IND, ax.subject)), _slot(slots, (IND, ax.object))
+
+        def decide_pair(v, d):
+            x, y = v[s], v[o]
+            if x is None or y is None:
+                return None
+            lo, hi = r(v, d)
+            bit = x * d.n + y
+            if lo >> bit & 1:
+                return True
+            if not hi >> bit & 1:
+                return False
+            return None
+
+        return decide_pair
     raise TypeError(f"not an axiom: {ax!r}")
 
 
@@ -375,88 +548,85 @@ def _decide_axiom(ax: Axiom, view, n: int, options: EvalOptions) -> Optional[boo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _Constraint:
-    axiom: Axiom
-    positive: bool
-    comps: frozenset[CompKey]
+    """An axiom required to hold (positive) or to fail, compiled over slots on
+    first use."""
 
-    def holds(self, view, options: EvalOptions) -> bool:
-        result = satisfies(view, self.axiom, options)
-        return result if self.positive else not result
+    def __init__(self, axiom: Axiom, positive: bool, slots: Slots, reflexive: bool):
+        self.axiom = axiom
+        self.positive = positive
+        self.comps = _axiom_comps(axiom)
+        self.slots = slots
+        self.reflexive = reflexive
+        for comp in self.comps:
+            _slot(slots, comp)
 
-    def decide(self, view, n: int, options: EvalOptions) -> Optional[bool]:
-        decision = _decide_axiom(self.axiom, view, n, options)
-        if decision is None:
-            return None
-        return decision if self.positive else not decision
+    @cached_property
+    def holds(self) -> Callable[[Vals, _Domain], bool]:
+        return _compile_holds(self.axiom, self.slots, self.reflexive)
 
-
-@dataclass
-class _Producer:
-    """A constraint consumed as a bound on `target` once its other components
-    are assigned. `kind` is "L" (forced members), "U" (allowed members), or
-    "X" (excluded members)."""
-
-    constraint: _Constraint
-    kind: str
-    target: CompKey
+    @cached_property
+    def decide(self) -> Callable[[Vals, _Domain], Optional[bool]]:
+        return _compile_decide(self.axiom, self.slots, self.reflexive)
 
 
-def _classify_producer(con: _Constraint, target: CompKey) -> Optional[_Producer]:
-    ax = con.axiom
+Bound = Callable[[Vals, _Domain], int]
+
+
+def _producer(con: _Constraint, target: CompKey) -> Optional[tuple[str, Bound]]:
+    """`con` consumed as a bound on `target` once its other components are
+    assigned: the kind, "L" (forced members), "U" (allowed members) or "X"
+    (excluded members), and the closure giving the bound's mask."""
+    ax, slots, reflexive = con.axiom, con.slots, con.reflexive
     aspect, key = target
-    if con.positive:
-        if isinstance(ax, RoleAssert) and aspect == ROLE:
-            if isinstance(ax.role, RoleAtom) and ax.role.term == key:
-                return _Producer(con, "L", target)
-        elif isinstance(ax, ConceptAssert):
-            c = ax.concept
-            if aspect == CONC and isinstance(c, ConceptAtom) and c.term == key:
-                return _Producer(con, "L", target)
-            if aspect == TOPCTX and isinstance(c, TopCtx) and c.ctx_id == key:
-                return _Producer(con, "L", target)
-        elif isinstance(ax, ConceptSub):
-            left, right = ax.left, ax.right
-            if aspect == CONC or aspect == TOPCTX:
-                if _is_set_atom(left, target) and target not in _side_comps(right):
-                    return _Producer(con, "U", target)
-                if _is_set_atom(right, target) and target not in _side_comps(left):
-                    return _Producer(con, "L", target)
-            if aspect == ROLE:
-                if (
-                    isinstance(left, Exists)
-                    and isinstance(left.role, RoleAtom)
-                    and left.role.term == key
-                    and isinstance(left.concept, Top)
-                    and target not in _side_comps(right)
-                ):
-                    return _Producer(con, "U", target)  # domain of role within rhs
-                if (
-                    isinstance(left, Top)
-                    and isinstance(right, Forall)
-                    and isinstance(right.role, RoleAtom)
-                    and right.role.term == key
-                    and target not in _side_comps(right.concept)
-                ):
-                    return _Producer(con, "U", target)  # range of role within filler
-        elif isinstance(ax, RoleSub):
-            left, right = ax.left, ax.right
-            if aspect == ROLE:
-                if isinstance(left, RoleAtom) and left.term == key and target not in _side_comps(right):
-                    return _Producer(con, "U", target)
-                if isinstance(right, RoleAtom) and right.term == key and target not in _side_comps(left):
-                    return _Producer(con, "L", target)
-    else:
-        if isinstance(ax, RoleAssert) and aspect == ROLE:
-            if isinstance(ax.role, RoleAtom) and ax.role.term == key:
-                return _Producer(con, "X", target)
-        elif isinstance(ax, ConceptAssert):
-            c = ax.concept
-            if aspect == CONC and isinstance(c, ConceptAtom) and c.term == key:
-                return _Producer(con, "X", target)
-            if aspect == TOPCTX and isinstance(c, TopCtx) and c.ctx_id == key:
-                return _Producer(con, "X", target)
+    if isinstance(ax, RoleAssert):
+        if aspect == ROLE and isinstance(ax.role, RoleAtom) and ax.role.term == key:
+            s, o = slots[(IND, ax.subject)], slots[(IND, ax.object)]
+            return ("L" if con.positive else "X"), lambda v, d: 1 << v[s] * d.n + v[o]
+        return None
+    if isinstance(ax, ConceptAssert):
+        c = ax.concept
+        if (aspect == CONC and isinstance(c, ConceptAtom) and c.term == key) or (
+            aspect == TOPCTX and isinstance(c, TopCtx) and c.ctx_id == key
+        ):
+            s = slots[(IND, ax.individual)]
+            return ("L" if con.positive else "X"), lambda v, d: 1 << v[s]
+        return None
+    if not con.positive:
+        return None
+    if isinstance(ax, ConceptSub):
+        left, right = ax.left, ax.right
+        if aspect == CONC or aspect == TOPCTX:
+            if _is_set_atom(left, target) and target not in _side_comps(right):
+                return "U", _exact(right, slots, reflexive)
+            if _is_set_atom(right, target) and target not in _side_comps(left):
+                return "L", _exact(left, slots, reflexive)
+        if aspect == ROLE:
+            if (
+                isinstance(left, Exists)
+                and isinstance(left.role, RoleAtom)
+                and left.role.term == key
+                and isinstance(left.concept, Top)
+                and target not in _side_comps(right)
+            ):
+                domain = _exact(right, slots, reflexive)  # domain of role within rhs
+                return "U", lambda v, d: _product(domain(v, d), d.full, d)
+            if (
+                isinstance(left, Top)
+                and isinstance(right, Forall)
+                and isinstance(right.role, RoleAtom)
+                and right.role.term == key
+                and target not in _side_comps(right.concept)
+            ):
+                filler = _exact(right.concept, slots, reflexive)  # range of role within filler
+                return "U", lambda v, d: _product(d.full, filler(v, d), d)
+    elif isinstance(ax, RoleSub):
+        left, right = ax.left, ax.right
+        if aspect == ROLE:
+            if isinstance(left, RoleAtom) and left.term == key and target not in _side_comps(right):
+                return "U", _exact(right, slots, reflexive)
+            if isinstance(right, RoleAtom) and right.term == key and target not in _side_comps(left):
+                return "L", _exact(left, slots, reflexive)
     return None
 
 
@@ -479,32 +649,6 @@ def _side_comps(expr) -> frozenset[CompKey]:
     return frozenset(acc)
 
 
-def _producer_bound(prod: _Producer, view, n: int, options: EvalOptions) -> frozenset:
-    """The concrete set a producer contributes, under the current assignment."""
-    ax = prod.constraint.axiom
-    aspect = prod.target[0]
-    if isinstance(ax, RoleAssert):
-        return frozenset({(view.indiv[ax.subject], view.indiv[ax.object])})
-    if isinstance(ax, ConceptAssert):
-        return frozenset({view.indiv[ax.individual]})
-    if isinstance(ax, ConceptSub):
-        left, right = ax.left, ax.right
-        if aspect == ROLE:
-            if isinstance(left, Exists):
-                dom_side = eval_concept(right, view, options)
-                universe = range(n)
-                return frozenset((x, y) for x in dom_side for y in universe)
-            rng_side = eval_concept(right.concept, view, options)
-            universe = range(n)
-            return frozenset((x, y) for x in universe for y in rng_side)
-        side = right if prod.kind == "U" else left
-        return eval_concept(side, view, options)
-    if isinstance(ax, RoleSub):
-        side = ax.right if prod.kind == "U" else ax.left
-        return eval_role(side, view, options)
-    raise TypeError(f"no bound rule for {ax!r}")
-
-
 # ---------------------------------------------------------------------------
 # Single-group solver with conflict-directed backjumping
 # ---------------------------------------------------------------------------
@@ -525,16 +669,22 @@ class _Budget:
 
 @dataclass
 class _Plan:
-    order: list[CompKey]
-    position: dict[CompKey, int]
-    producers_at: list[list[_Producer]]
-    checks_at: list[list[_Constraint]]
-    watch_at: list[list[_Constraint]]
+    """Variable order and compiled constraints of one group. A position is
+    an index into the order; conflict sets are masks of positions."""
+
+    slots: list[int]
+    aspects: list[str]
+    # (kind, bound, positions of the producer's other components)
+    producers_at: list[list[tuple[str, Bound, int]]]
+    # (holds, positive, positions of the constraint's other components)
+    checks_at: list[list[tuple[Callable, bool, int]]]
+    # (decide, not positive, positions of the constraint's earlier components)
+    watch_at: list[list[tuple[Callable, bool, int]]]
     determined: list[bool]
     first_ind: Optional[int]
 
 
-def _plan_group(comps: Sequence[CompKey], constraints: Sequence[_Constraint]) -> _Plan:
+def _plan_group(comps: Sequence[CompKey], constraints: Sequence[_Constraint], slots: Slots) -> _Plan:
     degree: dict[CompKey, int] = {c: 0 for c in comps}
     for con in constraints:
         for c in con.comps:
@@ -548,31 +698,40 @@ def _plan_group(comps: Sequence[CompKey], constraints: Sequence[_Constraint]) ->
     order = sorted(comps, key=order_key)
     position = {c: idx for idx, c in enumerate(order)}
 
-    producers_at: list[list[_Producer]] = [[] for _ in order]
-    checks_at: list[list[_Constraint]] = [[] for _ in order]
-    watch_at: list[list[_Constraint]] = [[] for _ in order]
-    produced_for: dict[CompKey, list[_Constraint]] = {c: [] for c in comps}
+    producers_at: list[list] = [[] for _ in order]
+    checks_at: list[list] = [[] for _ in order]
+    watch_at: list[list] = [[] for _ in order]
+    # Per position, the ids of constraints consumed there as bounds.
+    produced: list[set[int]] = [set() for _ in order]
     for con in constraints:
-        last = max(con.comps, key=lambda c: position[c])
-        prod = _classify_producer(con, last)
+        positions = 0
+        for c in con.comps:
+            positions |= 1 << position[c]
+        last = max(con.comps, key=position.__getitem__)
+        i = position[last]
+        others = positions & ~(1 << i)
+        prod = _producer(con, last)
         if prod is not None:
-            producers_at[position[last]].append(prod)
-            produced_for[last].append(con)
+            kind, bound = prod
+            producers_at[i].append((kind, bound, others))
+            produced[i].add(id(con))
         else:
-            checks_at[position[last]].append(con)
+            checks_at[i].append((con.holds, con.positive, others))
             # Interval-check the axiom at every earlier component; many
-            # axioms are settled well before their last component.
+            # axioms are settled well before their last component. Settled
+            # negatively by assigned components alone, so only those can be
+            # blamed.
             for comp in con.comps:
                 if comp != last:
-                    watch_at[position[comp]].append(con)
+                    j = position[comp]
+                    watch_at[j].append((con.decide, not con.positive, positions & ((1 << j) - 1)))
 
-    touching: dict[CompKey, list[_Constraint]] = {c: [] for c in comps}
+    determined = [True] * len(order)
     for con in constraints:
         for c in con.comps:
-            touching[c].append(con)
-    determined = [
-        all(con in produced_for[comp] for con in touching[comp]) for comp in order
-    ]
+            j = position[c]
+            if id(con) not in produced[j]:
+                determined[j] = False
 
     first_ind = None
     for idx, comp in enumerate(order):
@@ -580,104 +739,94 @@ def _plan_group(comps: Sequence[CompKey], constraints: Sequence[_Constraint]) ->
             first_ind = idx
             break
 
-    return _Plan(order, position, producers_at, checks_at, watch_at, determined, first_ind)
+    return _Plan(
+        [slots[c] for c in order], [c[0] for c in order],
+        producers_at, checks_at, watch_at, determined, first_ind,
+    )
 
 
-def _subsets_between(lower: frozenset, free: list) -> Iterator[frozenset]:
-    for mask in range(1 << len(free)):
-        value = set(lower)
-        m = mask
-        idx = 0
-        while m:
-            if m & 1:
-                value.add(free[idx])
-            m >>= 1
-            idx += 1
-        yield frozenset(value)
+def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget, symmetry: bool) -> Optional[int]:
+    """Fill `vals` with a satisfying assignment for this group, or return the
+    conflict set (a mask of positions) of an exhausted search. None means
+    success.
 
-
-def _solve_group(
-    comps: Sequence[CompKey],
-    constraints: Sequence[_Constraint],
-    n: int,
-    view: _PartialView,
-    budget: _Budget,
-    symmetry: bool,
-    options,
-) -> Optional[frozenset[int]]:
-    """Fill `view` with a satisfying assignment for this group, or return the
-    conflict set (positions) of an exhausted search. None means success."""
-    plan = _plan_group(comps, constraints)
-    order = plan.order
-    check_positions = {
-        id(con): frozenset(plan.position[c] for c in con.comps) for con in constraints
-    }
-    universes: dict[str, list] = {
-        CONC: list(range(n)),
-        TOPCTX: list(range(n)),
-        ROLE: [(x, y) for x in range(n) for y in range(n)],
-    }
-
-    def bt(i: int) -> Optional[frozenset[int]]:
-        if i == len(order):
+    Depth-first over the plan's order with an explicit stack: one frame per
+    assigned position holds its remaining candidates, its conflict set and
+    the positions its producers read."""
+    depth = len(plan.slots)
+    pslots, aspects = plan.slots, plan.aspects
+    tick = budget.tick
+    frames: list[list] = []
+    while True:
+        # Bound the component at the next position and push its frame.
+        i = len(frames)
+        if i == depth:
             return None
-        comp = order[i]
-        aspect = comp[0]
-        conflict: set[int] = set()
-
-        producer_positions: set[int] = set()
-        if aspect == IND:
-            candidates: Iterator = iter(range(n)) if not (symmetry and i == plan.first_ind) else iter((0,))
+        returned: Optional[int] = None
+        producer_positions = 0
+        if aspects[i] == IND:
+            candidates: Iterator = iter((0,) if symmetry and i == plan.first_ind else range(d.n))
         else:
-            lower: frozenset = frozenset()
-            upper = frozenset(universes[aspect])
-            for prod in plan.producers_at[i]:
-                producer_positions |= check_positions[id(prod.constraint)] - {i}
-                bound = _producer_bound(prod, view, n, options)
-                if prod.kind == "L":
-                    lower |= bound
-                elif prod.kind == "U":
-                    upper &= bound
+            lower, upper = 0, (d.pairs if aspects[i] == ROLE else d.full)
+            for kind, bound, others in plan.producers_at[i]:
+                producer_positions |= others
+                mask = bound(vals, d)
+                if kind == "L":
+                    lower |= mask
+                elif kind == "U":
+                    upper &= mask
                 else:
-                    upper -= bound
-            if not lower <= upper:
-                return frozenset(producer_positions)
-            if plan.determined[i]:
+                    upper &= ~mask
+            if lower & ~upper:
+                returned = producer_positions
+            elif plan.determined[i]:
                 candidates = iter((lower,))
             else:
-                free = sorted(upper - lower)
-                candidates = _subsets_between(lower, free)
+                candidates = _submasks(lower, upper ^ lower)
+        if returned is None:
+            frames.append([candidates, 0, producer_positions])
 
-        for value in candidates:
-            budget.tick()
-            view.assign(comp, value)
-            failed = False
-            for con in plan.checks_at[i]:
-                if not con.holds(view, options):
-                    conflict |= check_positions[id(con)] - {i}
-                    failed = True
-                    break
-            if not failed:
-                for con in plan.watch_at[i]:
-                    if con.decide(view, n, options) is False:
-                        # Settled negatively by assigned components alone, so
-                        # only those can be blamed.
-                        conflict |= {p for p in check_positions[id(con)] if p < i}
+        # Try candidates at the top frame; pop the frames that are exhausted
+        # or that a returned conflict set jumps over.
+        while frames:
+            i = len(frames) - 1
+            frame = frames[-1]
+            slot = pslots[i]
+            if returned is not None:
+                if not returned >> i & 1:
+                    vals[slot] = None
+                    frames.pop()
+                    continue
+                frame[1] |= returned & ~(1 << i)
+                returned = None
+            conflict = frame[1]
+            checks, watches = plan.checks_at[i], plan.watch_at[i]
+            for value in frame[0]:
+                tick()
+                vals[slot] = value
+                failed = False
+                for holds, positive, others in checks:
+                    if holds(vals, d) is not positive:
+                        conflict |= others
                         failed = True
                         break
-            if failed:
+                if not failed:
+                    for decide, negative, earlier in watches:
+                        if decide(vals, d) is negative:
+                            conflict |= earlier
+                            failed = True
+                            break
+                if not failed:
+                    break
+            else:
+                vals[slot] = None
+                frames.pop()
+                returned = conflict | frame[2]
                 continue
-            sub = bt(i + 1)
-            if sub is None:
-                return None
-            if i not in sub:
-                view.unassign(comp)
-                return sub
-            conflict |= set(sub) - {i}
-        view.unassign(comp)
-        return frozenset(conflict | producer_positions)
-
-    return bt(0)
+            frame[1] = conflict
+            break
+        else:
+            return returned
 
 
 # ---------------------------------------------------------------------------
@@ -724,20 +873,35 @@ def _group_constraints(
     return [grp for _, grp in sorted(groups.items(), key=group_key)]
 
 
-def _solve_at_size(
-    constraints: list[_Constraint], n: int, budget: _Budget, symmetry: bool, options
-) -> Optional[_PartialView]:
-    view = _PartialView(n)
-    for con in constraints:
-        if not con.comps and not con.holds(view, options):
-            return None
+@dataclass
+class _Problem:
+    """Constraints without components, and the plans of the independent
+    groups in solving order; neither depends on the domain size."""
+
+    ground: list[_Constraint]
+    plans: list[_Plan]
+
+
+def _prepare(constraints: list[_Constraint], slots: Slots) -> _Problem:
     grouped = _group_constraints([c for c in constraints if c.comps])
-    for comps, cons in grouped:
-        comps_sorted = sorted(comps, key=_comp_sort_key)
-        conflict = _solve_group(comps_sorted, cons, n, view, budget, symmetry, options)
-        if conflict is not None:
+    return _Problem(
+        [c for c in constraints if not c.comps],
+        [_plan_group(sorted(comps, key=_comp_sort_key), cons, slots) for comps, cons in grouped],
+    )
+
+
+def _solve_at_size(
+    problem: _Problem, slots: Slots, n: int, budget: _Budget, symmetry: bool
+) -> Optional[Vals]:
+    d = _Domain(n)
+    vals: Vals = [None] * len(slots)
+    for con in problem.ground:
+        if con.holds(vals, d) is not con.positive:
             return None
-    return view
+    for plan in problem.plans:
+        if _solve_group(plan, d, vals, budget, symmetry) is not None:
+            return None
+    return vals
 
 
 def _collect_ctx_ids(*ontologies: Ontology) -> set[str]:
@@ -751,15 +915,34 @@ def _collect_ctx_ids(*ontologies: Ontology) -> set[str]:
 
 
 def _build_interpretation(
-    view: _PartialView, n: int, terms: set[Term], ctx_ids: set[str]
+    vals: Vals, slots: Slots, n: int, terms: set[Term], ctx_ids: set[str]
 ) -> Interpretation:
-    empty: frozenset[int] = frozenset()
+    # Terms with equal denotations share one decoded frozenset.
+    sets: dict[int, frozenset[int]] = {}
+    relations: dict[int, frozenset[tuple[int, int]]] = {}
+
+    def value(comp: CompKey) -> int:
+        slot = slots.get(comp)
+        return 0 if slot is None or vals[slot] is None else vals[slot]
+
+    def subset(comp: CompKey) -> frozenset[int]:
+        mask = value(comp)
+        if mask not in sets:
+            sets[mask] = _decode_set(mask)
+        return sets[mask]
+
+    def relation(comp: CompKey) -> frozenset[tuple[int, int]]:
+        mask = value(comp)
+        if mask not in relations:
+            relations[mask] = _decode_pairs(mask, n)
+        return relations[mask]
+
     return Interpretation(
         size=n,
-        indiv={t: view.indiv.get(t, 0) for t in terms},
-        conc={t: view.conc.get(t, empty) for t in terms},
-        role={t: view.role.get(t, empty) for t in terms},
-        top_ctx={cid: view.top_ctx.get(cid, empty) for cid in ctx_ids},
+        indiv={t: value((IND, t)) for t in terms},
+        conc={t: subset((CONC, t)) for t in terms},
+        role={t: relation((ROLE, t)) for t in terms},
+        top_ctx={cid: subset((TOPCTX, cid)) for cid in ctx_ids},
     )
 
 
@@ -784,12 +967,14 @@ def find_model(
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     tracker = _Budget(_resolve_budget(budget))
-    constraints = [_Constraint(ax, True, _axiom_comps(ax)) for ax in ontology.axioms]
+    slots: Slots = {}
+    reflexive = options.reflexive_closure
+    problem = _prepare([_Constraint(ax, True, slots, reflexive) for ax in ontology.axioms], slots)
     ctx_ids = _collect_ctx_ids(ontology)
     for n in range(1, max_size + 1):
-        view = _solve_at_size(constraints, n, tracker, symmetry_breaking, options)
-        if view is not None:
-            interp = _build_interpretation(view, n, set(ontology.signature), ctx_ids)
+        vals = _solve_at_size(problem, slots, n, tracker, symmetry_breaking)
+        if vals is not None:
+            interp = _build_interpretation(vals, slots, n, set(ontology.signature), ctx_ids)
             return SatisfiableAt(interp, n)
     return NoModelUpTo(max_size)
 
@@ -816,14 +1001,18 @@ def check_entailment(
     targets = [ax for ax in conclusion.axioms if ax not in premise_axioms]
     if not targets:
         return NoCounterexampleUpTo(max_size)
-    base = [_Constraint(ax, True, _axiom_comps(ax)) for ax in premise.axioms]
+    slots: Slots = {}
+    reflexive = options.reflexive_closure
+    base = [_Constraint(ax, True, slots, reflexive) for ax in premise.axioms]
+    problems: list[Optional[_Problem]] = [None] * len(targets)  # planned on first use
     all_terms = set(premise.signature) | set(conclusion.signature)
     ctx_ids = _collect_ctx_ids(premise, conclusion)
     for n in range(1, max_size + 1):
-        for target in targets:
-            constraints = base + [_Constraint(target, False, _axiom_comps(target))]
-            view = _solve_at_size(constraints, n, tracker, symmetry_breaking, options)
-            if view is not None:
-                interp = _build_interpretation(view, n, all_terms, ctx_ids)
+        for k, target in enumerate(targets):
+            if problems[k] is None:
+                problems[k] = _prepare(base + [_Constraint(target, False, slots, reflexive)], slots)
+            vals = _solve_at_size(problems[k], slots, n, tracker, symmetry_breaking)
+            if vals is not None:
+                interp = _build_interpretation(vals, slots, n, all_terms, ctx_ids)
                 return NotEntailed(interp)
     return NoCounterexampleUpTo(max_size)

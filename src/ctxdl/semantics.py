@@ -4,9 +4,11 @@ An interpretation fixes a finite domain {0..size-1} and, for every term, an
 individual element, a concept subset, and a role relation. Context tops
 (TopCtx nodes) are interpreted through a separate per-context-id map.
 
-The bounded model / countermodel search built on these evaluation rules
-(`find_model`, `check_entailment`) lives in `ctxdl.search`; together the two
-files form the semantic oracle used by the transformation checkers.
+The bounded model / countermodel search (`find_model`, `check_entailment`)
+lives in `ctxdl.search`, which compiles the same rules to int-mask closures;
+the frozenset evaluator here stays independent of it, and witnesses replay
+through it. Together the two files form the semantic oracle used by the
+transformation checkers.
 """
 
 from __future__ import annotations

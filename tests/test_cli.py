@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ctxdl
 from ctxdl.cli import run
+from ctxdl.semantics import is_model
 from ctxdl.textio import parse
 
 IRREFLEXIVE = """ontology irreflexive {
@@ -114,6 +120,21 @@ class TestModels:
         [model] = parse(open(record["witness"]).read()).models()
         assert model.size == 1
 
+    def test_processes_appending_to_one_report_keep_their_witnesses(self, files):
+        report = str(files["dir"] / "report.jsonl")
+        inputs = [files["babylon.dl"], files["premise.dl"]]
+        for path in inputs:
+            done = ctxdl_process("models", path, "--bound", "2", "--report", report)
+            assert done.returncode == 0, done.stderr
+        records = [json.loads(line) for line in open(report)]
+        assert [r["seq"] for r in records] == [1, 2]
+        assert records[0]["witness"] != records[1]["witness"]
+        for path, record in zip(inputs, records):
+            [model] = parse(open(record["witness"]).read()).models()
+            [ontology] = parse(open(path).read()).ontologies()
+            assert is_model(model, ontology)
+        assert sorted(p.name for p in files["dir"].iterdir() if ".tmp" in p.name) == []
+
 
 class TestEntails:
     def test_entailed_exits_zero(self, files, capsys):
@@ -219,3 +240,23 @@ class TestValidateAndErrors:
         code = run(["models", files["irreflexive.dl"], "--bound", "3"])
         assert code == 2
         assert "budget" in capsys.readouterr().err
+
+
+def ctxdl_process(*args: str) -> subprocess.CompletedProcess:
+    """`python -m ctxdl ARGS` in a fresh interpreter that imports this ctxdl."""
+    src = str(Path(ctxdl.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ctxdl", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_ctxdl_runs_the_cli(self, files):
+        done = ctxdl_process("models", files["babylon.dl"], "--bound", "2")
+        assert done.returncode == 0, done.stderr
+        assert "satisfiable at size 1" in done.stdout
+        usage = ctxdl_process()
+        assert usage.returncode == 2
+        assert "usage: ctxdl" in usage.stderr

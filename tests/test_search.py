@@ -2,19 +2,56 @@
 enumeration, plus soundness of the interval pruning rules."""
 
 import random
+import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctxdl.core import Ontology
-from ctxdl.search import _PartialView, _ival_concept, _ival_role, check_entailment, find_model
+from ctxdl.annotation import AnnotatedOntology, validate_annotation
+from ctxdl.core import (
+    AtLeast,
+    AtMost,
+    Closure,
+    Compose,
+    ConceptAssert,
+    ConceptAtom,
+    Inverse,
+    Nominals,
+    Ontology,
+    Product,
+    RoleAssert,
+    RoleAtom,
+    Term,
+)
+from ctxdl.search import (
+    CONC,
+    IND,
+    ROLE,
+    TOPCTX,
+    _compile_holds,
+    _decode_pairs,
+    _decode_set,
+    _Domain,
+    _exact,
+    _interval,
+    _submasks,
+    check_entailment,
+    find_model,
+)
 from ctxdl.semantics import (
-    DEFAULT_OPTIONS,
+    BoundTooLargeError,
+    EvalOptions,
+    NoCounterexampleUpTo,
+    NoModelUpTo,
     NotEntailed,
     SatisfiableAt,
     eval_concept,
     eval_role,
     is_model,
+    satisfies,
 )
+from ctxdl.strategies import Strategy, combine_contexts, contextualize
+from ctxdl.verify import curated_entailment_pairs, curated_inconsistent_ontologies
 
 from generators import random_axiom, random_concept, random_interpretation, random_role, term_pool
 from oracles import all_interpretations, brute_force_has_model, collect_ctx_ids
@@ -73,6 +110,25 @@ class TestEntailmentComplete:
                 assert not is_model(verdict.countermodel, o2)
 
 
+def encode(interp, slots, exposed=None):
+    """Slot values of `interp` for the components in `slots`; components
+    outside `exposed` (when given) stay unassigned."""
+    n = interp.size
+    vals = [None] * len(slots)
+    for comp, slot in slots.items():
+        if exposed is not None and comp not in exposed:
+            continue
+        aspect, key = comp
+        if aspect == IND:
+            vals[slot] = interp.indiv[key]
+        elif aspect == ROLE:
+            vals[slot] = sum(1 << x * n + y for x, y in interp.role[key])
+        else:
+            members = interp.conc[key] if aspect == CONC else interp.top_ctx[key]
+            vals[slot] = sum(1 << x for x in members)
+    return vals
+
+
 class TestIntervalEvaluation:
     """lo/hi approximations must bracket the value under every completion."""
 
@@ -83,26 +139,27 @@ class TestIntervalEvaluation:
         terms = term_pool(3)
         size = rng.randint(1, 3)
         full = random_interpretation(rng, terms, size)
-        # expose a random subset of components in the partial view
-        view = _PartialView(size)
+        # expose a random subset of components in the partial assignment
+        exposed = set()
         for t in terms:
-            if rng.random() < 0.5:
-                view.indiv[t] = full.indiv[t]
-            if rng.random() < 0.5:
-                view.conc[t] = full.conc[t]
-            if rng.random() < 0.5:
-                view.role[t] = full.role[t]
+            for aspect in (IND, CONC, ROLE):
+                if rng.random() < 0.5:
+                    exposed.add((aspect, t))
         if rng.random() < 0.5:
-            view.top_ctx["CX"] = full.top_ctx["CX"]
+            exposed.add((TOPCTX, "CX"))
 
         concept = random_concept(rng, terms, rng.randint(0, 2))
         role = random_role(rng, terms, rng.randint(0, 2))
-        clo, chi = _ival_concept(concept, view, size, DEFAULT_OPTIONS)
-        rlo, rhi = _ival_role(role, view, size, DEFAULT_OPTIONS)
+        slots = {}
+        concept_ival = _interval(concept, slots, True)
+        role_ival = _interval(role, slots, True)
+        vals, dom = encode(full, slots, exposed), _Domain(size)
+        clo, chi = concept_ival(vals, dom)
+        rlo, rhi = role_ival(vals, dom)
         actual_c = eval_concept(concept, full)
         actual_r = eval_role(role, full)
-        assert clo <= actual_c <= chi
-        assert rlo <= actual_r <= rhi
+        assert _decode_set(clo) <= actual_c <= _decode_set(chi)
+        assert _decode_pairs(rlo, size) <= actual_r <= _decode_pairs(rhi, size)
 
     def test_exact_on_full_assignments(self):
         rng = random.Random(5)
@@ -110,11 +167,156 @@ class TestIntervalEvaluation:
         for _ in range(50):
             size = rng.randint(1, 3)
             full = random_interpretation(rng, terms, size)
-            view = _PartialView(size)
-            view.indiv.update(full.indiv)
-            view.conc.update(full.conc)
-            view.role.update(full.role)
-            view.top_ctx.update(full.top_ctx)
             c = random_concept(rng, terms, 2)
-            lo, hi = _ival_concept(c, view, size, DEFAULT_OPTIONS)
-            assert lo == hi == eval_concept(c, full)
+            slots = {}
+            ival = _interval(c, slots, True)
+            lo, hi = ival(encode(full, slots), _Domain(size))
+            assert lo == hi
+            assert _decode_set(lo) == eval_concept(c, full)
+
+
+def node_types(expr, acc):
+    acc.add(type(expr))
+    for value in vars(expr).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if hasattr(item, "__dataclass_fields__") and not isinstance(item, Term):
+                node_types(item, acc)
+    return acc
+
+
+class TestMaskKernel:
+    """The compiled exact evaluator against the frozenset evaluator."""
+
+    @pytest.mark.parametrize("reflexive", [True, False])
+    def test_exact_matches_semantics(self, reflexive):
+        options = EvalOptions(reflexive_closure=reflexive)
+        rng = random.Random(2024 + reflexive)
+        terms = term_pool(3)
+        seen = set()
+        for _ in range(400):
+            size = rng.randint(1, 4)
+            interp = random_interpretation(rng, terms, size)
+            dom = _Domain(size)
+            concept = random_concept(rng, terms, rng.randint(0, 3))
+            role = random_role(rng, terms, rng.randint(0, 3))
+            axiom = random_axiom(rng, terms, rng.randint(0, 2))
+            slots = {}
+            concept_fn = _exact(concept, slots, reflexive)
+            role_fn = _exact(role, slots, reflexive)
+            holds_fn = _compile_holds(axiom, slots, reflexive)
+            vals = encode(interp, slots)
+            assert _decode_set(concept_fn(vals, dom)) == eval_concept(concept, interp, options)
+            assert _decode_pairs(role_fn(vals, dom), size) == eval_role(role, interp, options)
+            assert holds_fn(vals, dom) is satisfies(interp, axiom, options)
+            for expr in (concept, role, axiom):
+                node_types(expr, seen)
+        assert {Closure, AtMost, AtLeast, Inverse, Compose, Product, Nominals} <= seen
+
+
+def subsets_between(lower, free):
+    """The frozenset enumeration the mask kernel replaced: `lower` plus each
+    subset of the sorted list `free`, bit j of a counter selecting free[j]."""
+    for mask in range(1 << len(free)):
+        yield frozenset(lower) | {free[j] for j in range(len(free)) if mask >> j & 1}
+
+
+class TestSubmasks:
+    def test_same_sequence_as_subset_enumeration(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            role = rng.random() < 0.5
+            universe = [(x, y) for x in range(n) for y in range(n)] if role else list(range(n))
+            bit = (lambda p: p[0] * n + p[1]) if role else (lambda x: x)
+            lower = {e for e in universe if rng.random() < 0.3}
+            free = sorted(e for e in universe if e not in lower and rng.random() < 0.6)
+            decode = (lambda m: _decode_pairs(m, n)) if role else _decode_set
+            lower_mask = sum(1 << bit(e) for e in lower)
+            free_mask = sum(1 << bit(e) for e in free)
+            got = [decode(m) for m in _submasks(lower_mask, free_mask)]
+            assert got == list(subsets_between(lower, free))
+
+
+def running_example_annotation(suffix="", ctx_id="CA"):
+    def nc(name):
+        return Term.nc(f"{name}{suffix}")
+
+    def role(r, a, b):
+        return RoleAssert(RoleAtom(nc(r)), nc(a), nc(b))
+
+    def concept(c, a):
+        return ConceptAssert(ConceptAtom(nc(c)), nc(a))
+
+    abox = [
+        role("validity", "a", "t"),
+        concept("Interval", "t"),
+        role("from", "t", "609BC"),
+        role("to", "t", "539BC"),
+        role("prov", "a", "w"),
+        role("name", "w", "wikipedia"),
+        concept("Wiki", "w"),
+    ]
+    return validate_annotation(nc("a"), abox, ctx_id=ctx_id)
+
+
+def _rewrite(strategy, ontology):
+    return contextualize(strategy, AnnotatedOntology(ontology, running_example_annotation()))
+
+
+def _example7():
+    return next((p, c) for name, p, c in curated_entailment_pairs() if name == "subsumption-propagation")
+
+
+def _irreflexivity():
+    return dict(curated_inconsistent_ontologies())["irreflexivity"]
+
+
+# Smallest budget that decides each search; any change to the sequence of
+# candidates tried (order, pruning, backjumps) moves it.
+PINNED_SEARCHES = {
+    "ndterms-irreflexivity": (
+        lambda b: find_model(_rewrite(Strategy.ND_TERMS, _irreflexivity()), 3, budget=b),
+        2709, NoModelUpTo(3),
+    ),
+    "ndterms-example7-entailment": (
+        lambda b: check_entailment(*(_rewrite(Strategy.ND_TERMS, o) for o in _example7()), 3, budget=b),
+        23266, NoCounterexampleUpTo(3),
+    ),
+    "irreflexivity-premise": (
+        lambda b: find_model(_irreflexivity(), 3, budget=b), 791, NoModelUpTo(3),
+    ),
+    "rdf-irreflexivity": (
+        lambda b: find_model(_rewrite(Strategy.RDF_REIFICATION, _irreflexivity()), 3, budget=b),
+        19, None,
+    ),
+}
+
+
+class TestSearchTree:
+    @pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
+    def test_smallest_deciding_budget(self, name):
+        search, budget, verdict = PINNED_SEARCHES[name]
+        result = search(budget)
+        if verdict is None:
+            assert isinstance(result, SatisfiableAt)
+        else:
+            assert result == verdict
+        with pytest.raises(BoundTooLargeError) as info:
+            search(budget - 1)
+        assert info.value.explored == budget
+
+    def test_64_combined_contexts_within_default_recursion_limit(self):
+        premise, _ = _example7()
+        inputs = [
+            AnnotatedOntology(premise, running_example_annotation(f"_{i}", ctx_id=f"C{i}"))
+            for i in range(64)
+        ]
+        combined = combine_contexts(inputs, Strategy.ND_TERMS)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # the interpreter's default
+        try:
+            verdict = find_model(combined, 3)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert isinstance(verdict, SatisfiableAt) and verdict.size == 1
+        assert is_model(verdict.model, combined)
