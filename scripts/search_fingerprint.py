@@ -1,4 +1,4 @@
-"""Fingerprint of the search tree: verdicts, witnesses and candidate counts.
+"""Fingerprint of the search tree and of the rewrite layer.
 
     python3 scripts/search_fingerprint.py CHECKOUT OUT.jsonl
 
@@ -7,9 +7,18 @@ Runs every cell of the benchmark's ``refute`` and ``witness`` workloads
 symmetry breaking, under the transitive-only closure option, and
 ``check_entailment``) against the library in ``CHECKOUT/src``, and writes one
 JSON line per call: the verdicts, the serialized witnesses, and the number
-of candidates each search call tried (or where it ran out of budget). Two
-checkouts whose files compare equal walk the same search tree on all of
-these inputs:
+of candidates each search call tried (or where it ran out of budget).
+
+It then writes one line per rewrite: ``contextualize`` under every strategy
+of each statement of the ``witness`` corpus (seeds 1 and 2, with that seed's
+annotations) and of each curated ontology (with the running example's
+annotation), and ``combine_contexts`` of the first 1, 2, 4, ..., 64
+statement/annotation pairs of each corpus. A line holds the serialized
+output and the ``stable_hash`` of its axioms and sorted signature, which
+also pins the term kinds the text does not show.
+
+Two checkouts whose files compare equal walk the same search tree and
+rewrite to the same ontologies on all of these inputs:
 
     python3 scripts/search_fingerprint.py . new.jsonl
     python3 scripts/search_fingerprint.py ../parent old.jsonl
@@ -88,6 +97,46 @@ def main(checkout: Path, out_path: Path) -> None:
             emit(f"random/{i}/symmetry", lambda: search.find_model(o1, 3, budget=3000, symmetry_breaking=True))
             emit(f"random/{i}/transitive", lambda: search.find_model(o1, 2, budget=3000, options=transitive))
             emit(f"random/{i}/entailment", lambda: search.check_entailment(o1, o2, 3, budget=3000))
+
+        strategies, annotation = mods.strategies, mods.annotation
+
+        def emit_rewrite(call_id, fn):
+            record = {"id": call_id}
+            try:
+                onto = fn()
+            except Exception as exc:  # a rejected input is part of the fingerprint
+                record["error"] = type(exc).__name__
+            else:
+                record["text"] = textio.serialize(onto, "out")
+                record["structure"] = mods.core.stable_hash((onto.axioms, tuple(onto.sorted_signature())), 16)
+            out.write(json.dumps(record, sort_keys=True) + "\n")
+
+        def rewrite_all(prefix, pairs):
+            for index, (onto, ca) in enumerate(pairs):
+                for strategy in strategies.Strategy:
+                    emit_rewrite(f"{prefix}/{index:03d}/{strategy.value}", lambda: strategies.contextualize(
+                        strategy, annotation.AnnotatedOntology(onto, ca)))
+
+        corpus = workloads.WITNESS_CORPUS
+        statements = [onto for onto, _ in mods.verify.generate_corpus(**corpus)]
+        for seed in (1, 2):
+            # The annotations the witness workload draws for this seed.
+            drawn = mods.verify.generate_corpus(random.Random(seed).randrange(2**32), corpus["count"],
+                                                corpus["max_terms"], corpus["max_axioms"])
+            pairs = list(zip(statements, [ca for _, ca in drawn]))
+            rewrite_all(f"contextualize/witness/{seed}", pairs)
+            for strategy in strategies.Strategy:
+                k = 1
+                while k <= 64:
+                    emit_rewrite(f"combine/witness/{seed}/{strategy.value}/k{k}", lambda: strategies.combine_contexts(
+                        [annotation.AnnotatedOntology(onto, ca) for onto, ca in pairs[:k]], strategy))
+                    k *= 2
+
+        ca = workloads.running_example_annotation(mods)
+        curated = [onto for _, onto in mods.verify.curated_inconsistent_ontologies()]
+        for _, premise, conclusion in mods.verify.curated_entailment_pairs():
+            curated += [premise, conclusion]
+        rewrite_all("contextualize/curated", [(onto, ca) for onto in curated])
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .core import (
     RoleAssert,
     RoleAtom,
     Term,
+    own_terms,
     signature_of,
     stable_hash,
 )
@@ -75,14 +76,7 @@ class AnnotatedOntology:
 
 
 def _individuals_of(abox: Sequence[Axiom]) -> set[Term]:
-    out: set[Term] = set()
-    for ax in abox:
-        if isinstance(ax, ConceptAssert):
-            out.add(ax.individual)
-        elif isinstance(ax, RoleAssert):
-            out.add(ax.subject)
-            out.add(ax.object)
-    return out
+    return {t for ax in abox for t in own_terms(ax)}
 
 
 def _components(abox: Sequence[Axiom]) -> dict[Term, Term]:

@@ -309,10 +309,7 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ParseError, AnnotationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PremiseNotEntailedError, BoundTooLargeError) as exc:
+    except (CliError, ParseError, AnnotationError, OSError, PremiseNotEntailedError, BoundTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

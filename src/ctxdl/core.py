@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 
 class TermKind(Enum):
@@ -255,43 +255,100 @@ Axiom = Union[ConceptSub, RoleSub, ConceptAssert, RoleAssert]
 ABOX_FORMS = (ConceptAssert, RoleAssert)
 
 
-def _walk_terms(x: object) -> Iterator[Term]:
-    if isinstance(x, Term):
-        yield x
-    elif isinstance(x, (ConceptAtom, RoleAtom)):
-        yield x.term
-    elif isinstance(x, Nominals):
-        yield from x.members
-    elif isinstance(x, (Top, Bottom, TopCtx)):
-        return
-    elif isinstance(x, (ConceptUnion, ConceptIntersection, RoleUnion, RoleIntersection, Compose, Product)):
-        yield from _walk_terms(x.left)
-        yield from _walk_terms(x.right)
-    elif isinstance(x, (ConceptNeg, RoleNeg, Inverse, Closure)):
-        yield from _walk_terms(x.sub)
-    elif isinstance(x, (Exists, Forall, AtMost, AtLeast)):
-        yield from _walk_terms(x.role)
-        yield from _walk_terms(x.concept)
-    elif isinstance(x, ConceptSub):
-        yield from _walk_terms(x.left)
-        yield from _walk_terms(x.right)
-    elif isinstance(x, RoleSub):
-        yield from _walk_terms(x.left)
-        yield from _walk_terms(x.right)
-    elif isinstance(x, ConceptAssert):
-        yield from _walk_terms(x.concept)
-        yield x.individual
-    elif isinstance(x, RoleAssert):
-        yield from _walk_terms(x.role)
-        yield x.subject
-        yield x.object
-    else:
-        raise TypeError(f"not a core value: {x!r}")
+# ---------------------------------------------------------------------------
+# The constructor table: one traversal for every structural walker
+# ---------------------------------------------------------------------------
+
+Expr = Union[ConceptExpr, RoleExpr, Axiom]
 
 
-def signature_of(x: Axiom | ConceptExpr | RoleExpr) -> frozenset[Term]:
+def _none(x: Expr) -> tuple:
+    return ()
+
+
+def _pair(x: Expr) -> tuple[Expr, Expr]:
+    return (x.left, x.right)
+
+
+def _sub(x: Expr) -> tuple[Expr]:
+    return (x.sub,)
+
+
+def _restriction(x: Expr) -> tuple[Expr, Expr]:
+    return (x.role, x.concept)
+
+
+def _same(x: Expr, f: Callable, g: Callable) -> Expr:
+    return x
+
+
+# Per constructor: its sub-expressions, the terms it holds itself, and its
+# rebuild from a sub-expression map `f` and a term map `g`.
+_CONSTRUCTORS: dict[type, tuple[Callable, Callable, Callable]] = {
+    Top: (_none, _none, _same),
+    Bottom: (_none, _none, _same),
+    TopCtx: (_none, _none, _same),
+    ConceptAtom: (_none, lambda x: (x.term,), lambda x, f, g: ConceptAtom(g(x.term))),
+    ConceptUnion: (_pair, _none, lambda x, f, g: ConceptUnion(f(x.left), f(x.right))),
+    ConceptIntersection: (_pair, _none, lambda x, f, g: ConceptIntersection(f(x.left), f(x.right))),
+    ConceptNeg: (_sub, _none, lambda x, f, g: ConceptNeg(f(x.sub))),
+    Exists: (_restriction, _none, lambda x, f, g: Exists(f(x.role), f(x.concept))),
+    Forall: (_restriction, _none, lambda x, f, g: Forall(f(x.role), f(x.concept))),
+    AtMost: (_restriction, _none, lambda x, f, g: AtMost(x.bound, f(x.role), f(x.concept))),
+    AtLeast: (_restriction, _none, lambda x, f, g: AtLeast(x.bound, f(x.role), f(x.concept))),
+    Nominals: (_none, lambda x: x.members, lambda x, f, g: Nominals(tuple(g(u) for u in x.members))),
+    RoleAtom: (_none, lambda x: (x.term,), lambda x, f, g: RoleAtom(g(x.term))),
+    RoleUnion: (_pair, _none, lambda x, f, g: RoleUnion(f(x.left), f(x.right))),
+    RoleIntersection: (_pair, _none, lambda x, f, g: RoleIntersection(f(x.left), f(x.right))),
+    RoleNeg: (_sub, _none, lambda x, f, g: RoleNeg(f(x.sub))),
+    Inverse: (_sub, _none, lambda x, f, g: Inverse(f(x.sub))),
+    Compose: (_pair, _none, lambda x, f, g: Compose(f(x.left), f(x.right))),
+    Closure: (_sub, _none, lambda x, f, g: Closure(f(x.sub))),
+    Product: (_pair, _none, lambda x, f, g: Product(f(x.left), f(x.right))),
+    ConceptSub: (_pair, _none, lambda x, f, g: ConceptSub(f(x.left), f(x.right))),
+    RoleSub: (_pair, _none, lambda x, f, g: RoleSub(f(x.left), f(x.right))),
+    ConceptAssert: (
+        lambda x: (x.concept,), lambda x: (x.individual,),
+        lambda x, f, g: ConceptAssert(f(x.concept), g(x.individual)),
+    ),
+    RoleAssert: (
+        lambda x: (x.role,), lambda x: (x.subject, x.object),
+        lambda x, f, g: RoleAssert(f(x.role), g(x.subject), g(x.object)),
+    ),
+}
+
+
+def _row(x: object) -> tuple[Callable, Callable, Callable]:
+    try:
+        return _CONSTRUCTORS[type(x)]
+    except KeyError:
+        raise TypeError(f"not a core expression or axiom: {x!r}") from None
+
+
+def walk(x: Expr) -> Iterator[Expr]:
+    """Every node of `x`, parents first, left to right."""
+    stack = [x]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_row(node)[0](node)))
+
+
+def own_terms(node: Expr) -> tuple[Term, ...]:
+    """The terms `node` holds itself: an atom's term, a nominal's members,
+    an assertion's individuals. A TopCtx node holds none."""
+    return _row(node)[1](node)
+
+
+def map_children(x: Expr, expr_fn: Callable[[Expr], Expr], term_fn: Callable[[Term], Term]) -> Expr:
+    """`x` rebuilt from `expr_fn` of each sub-expression and `term_fn` of
+    each term it holds itself."""
+    return _row(x)[2](x, expr_fn, term_fn)
+
+
+def signature_of(x: Expr) -> frozenset[Term]:
     """All terms occurring in `x`. A TopCtx node contributes no term."""
-    return frozenset(_walk_terms(x))
+    return frozenset(t for node in walk(x) for t in own_terms(node))
 
 
 @dataclass(frozen=True)
@@ -318,9 +375,6 @@ class Ontology:
 
     def __contains__(self, axiom: Axiom) -> bool:
         return axiom in self.axioms
-
-    def union(self, other: "Ontology") -> "Ontology":
-        return Ontology(self.axioms + other.axioms, self.signature | other.signature)
 
     def sorted_signature(self) -> list[Term]:
         return sorted(self.signature, key=Term.sort_key)

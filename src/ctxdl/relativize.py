@@ -11,36 +11,26 @@ pin role denotations into the context.
 from __future__ import annotations
 
 from .core import (
-    AtLeast,
-    AtMost,
     Axiom,
-    Bottom,
     Closure,
-    Compose,
     ConceptAssert,
     ConceptAtom,
-    ConceptExpr,
     ConceptIntersection,
     ConceptNeg,
     ConceptSub,
-    ConceptUnion,
     Exists,
+    Expr,
     Forall,
-    Inverse,
-    Nominals,
     Ontology,
     Product,
-    RoleAssert,
     RoleAtom,
-    RoleExpr,
     RoleIntersection,
     RoleNeg,
-    RoleSub,
-    RoleUnion,
     Term,
     TermKind,
     Top,
     TopCtx,
+    map_children,
 )
 
 
@@ -61,70 +51,35 @@ class ContextualTermInSignatureError(RelativizeError):
         self.terms = terms
 
 
-def relativize_concept(c: ConceptExpr, ctx_id: str) -> ConceptExpr:
+def _keep(t: Term) -> Term:
+    return t
+
+
+def relativize_axiom(x: Expr, ctx_id: str) -> Expr:
+    """Relativize an axiom, a concept or a role to the context top.
+
+    The top becomes the context top, and complements, value restrictions and
+    closures are intersected with it (with its square for roles). Every
+    other constructor is rebuilt from its relativized parts; terms stay.
+    """
     top = TopCtx(ctx_id)
-    if isinstance(c, Top):
-        return top
-    if isinstance(c, Bottom):
-        return c
-    if isinstance(c, TopCtx):
-        if c.ctx_id == ctx_id:
+
+    def relativize(x):
+        if isinstance(x, Top):
+            return top
+        if isinstance(x, TopCtx) and x.ctx_id == ctx_id:
             raise AlreadyRelativizedError(ctx_id)
-        return c
-    if isinstance(c, (ConceptAtom, Nominals)):
-        return c
-    if isinstance(c, ConceptUnion):
-        return ConceptUnion(relativize_concept(c.left, ctx_id), relativize_concept(c.right, ctx_id))
-    if isinstance(c, ConceptIntersection):
-        return ConceptIntersection(
-            relativize_concept(c.left, ctx_id), relativize_concept(c.right, ctx_id)
-        )
-    if isinstance(c, ConceptNeg):
-        return ConceptIntersection(ConceptNeg(relativize_concept(c.sub, ctx_id)), top)
-    if isinstance(c, Exists):
-        return Exists(relativize_role(c.role, ctx_id), relativize_concept(c.concept, ctx_id))
-    if isinstance(c, Forall):
-        return ConceptIntersection(
-            Forall(relativize_role(c.role, ctx_id), relativize_concept(c.concept, ctx_id)), top
-        )
-    if isinstance(c, AtMost):
-        return AtMost(c.bound, relativize_role(c.role, ctx_id), relativize_concept(c.concept, ctx_id))
-    if isinstance(c, AtLeast):
-        return AtLeast(c.bound, relativize_role(c.role, ctx_id), relativize_concept(c.concept, ctx_id))
-    raise TypeError(f"not a concept expression: {c!r}")
+        y = map_children(x, relativize, _keep)
+        if isinstance(x, (ConceptNeg, Forall)):
+            return ConceptIntersection(y, top)
+        if isinstance(x, (RoleNeg, Closure)):
+            return RoleIntersection(y, Product(top, top))
+        return y
+
+    return relativize(x)
 
 
-def relativize_role(r: RoleExpr, ctx_id: str) -> RoleExpr:
-    top_sq = Product(TopCtx(ctx_id), TopCtx(ctx_id))
-    if isinstance(r, RoleAtom):
-        return r
-    if isinstance(r, RoleUnion):
-        return RoleUnion(relativize_role(r.left, ctx_id), relativize_role(r.right, ctx_id))
-    if isinstance(r, RoleIntersection):
-        return RoleIntersection(relativize_role(r.left, ctx_id), relativize_role(r.right, ctx_id))
-    if isinstance(r, RoleNeg):
-        return RoleIntersection(RoleNeg(relativize_role(r.sub, ctx_id)), top_sq)
-    if isinstance(r, Inverse):
-        return Inverse(relativize_role(r.sub, ctx_id))
-    if isinstance(r, Compose):
-        return Compose(relativize_role(r.left, ctx_id), relativize_role(r.right, ctx_id))
-    if isinstance(r, Closure):
-        return RoleIntersection(Closure(relativize_role(r.sub, ctx_id)), top_sq)
-    if isinstance(r, Product):
-        return Product(relativize_concept(r.left, ctx_id), relativize_concept(r.right, ctx_id))
-    raise TypeError(f"not a role expression: {r!r}")
-
-
-def relativize_axiom(ax: Axiom, ctx_id: str) -> Axiom:
-    if isinstance(ax, ConceptSub):
-        return ConceptSub(relativize_concept(ax.left, ctx_id), relativize_concept(ax.right, ctx_id))
-    if isinstance(ax, RoleSub):
-        return RoleSub(relativize_role(ax.left, ctx_id), relativize_role(ax.right, ctx_id))
-    if isinstance(ax, ConceptAssert):
-        return ConceptAssert(relativize_concept(ax.concept, ctx_id), ax.individual)
-    if isinstance(ax, RoleAssert):
-        return RoleAssert(relativize_role(ax.role, ctx_id), ax.subject, ax.object)
-    raise TypeError(f"not an axiom: {ax!r}")
+relativize_concept = relativize_role = relativize_axiom
 
 
 def membership_axioms(term: Term, ctx_id: str) -> list[Axiom]:

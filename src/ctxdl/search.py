@@ -67,6 +67,8 @@ from .core import (
     Term,
     Top,
     TopCtx,
+    own_terms,
+    walk,
 )
 from .semantics import (  # noqa: F401  eval_*/satisfies: re-exported replay evaluator
     DEFAULT_OPTIONS,
@@ -92,10 +94,9 @@ Slots = dict  # CompKey -> slot index, filled as constraints are compiled
 Vals = list  # slot -> int (individual) / mask, or None while unassigned
 
 
-def _comp_sort_key(comp: CompKey) -> tuple[str, str]:
+def _comp_sort_key(comp: CompKey) -> tuple[str, ...]:
     aspect, key = comp
-    name = key.name if isinstance(key, Term) else str(key)
-    return (aspect, name)
+    return (aspect, *key.sort_key()) if isinstance(key, Term) else (aspect, key)
 
 
 def _slot(slots: Slots, comp: CompKey) -> int:
@@ -107,60 +108,18 @@ def _slot(slots: Slots, comp: CompKey) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _concept_comps(c, acc: set[CompKey]) -> None:
-    if isinstance(c, (Top, Bottom)):
-        return
-    if isinstance(c, TopCtx):
-        acc.add((TOPCTX, c.ctx_id))
-    elif isinstance(c, ConceptAtom):
-        acc.add((CONC, c.term))
-    elif isinstance(c, (ConceptUnion, ConceptIntersection)):
-        _concept_comps(c.left, acc)
-        _concept_comps(c.right, acc)
-    elif isinstance(c, ConceptNeg):
-        _concept_comps(c.sub, acc)
-    elif isinstance(c, (Exists, Forall, AtMost, AtLeast)):
-        _role_comps(c.role, acc)
-        _concept_comps(c.concept, acc)
-    elif isinstance(c, Nominals):
-        for u in c.members:
-            acc.add((IND, u))
-    else:
-        raise TypeError(f"not a concept expression: {c!r}")
-
-
-def _role_comps(r, acc: set[CompKey]) -> None:
-    if isinstance(r, RoleAtom):
-        acc.add((ROLE, r.term))
-    elif isinstance(r, (RoleUnion, RoleIntersection, Compose)):
-        _role_comps(r.left, acc)
-        _role_comps(r.right, acc)
-    elif isinstance(r, (RoleNeg, Inverse, Closure)):
-        _role_comps(r.sub, acc)
-    elif isinstance(r, Product):
-        _concept_comps(r.left, acc)
-        _concept_comps(r.right, acc)
-    else:
-        raise TypeError(f"not a role expression: {r!r}")
-
-
-def _axiom_comps(ax: Axiom) -> frozenset[CompKey]:
+def _comps(x) -> frozenset[CompKey]:
+    """The components an axiom or expression reads."""
     acc: set[CompKey] = set()
-    if isinstance(ax, ConceptSub):
-        _concept_comps(ax.left, acc)
-        _concept_comps(ax.right, acc)
-    elif isinstance(ax, RoleSub):
-        _role_comps(ax.left, acc)
-        _role_comps(ax.right, acc)
-    elif isinstance(ax, ConceptAssert):
-        _concept_comps(ax.concept, acc)
-        acc.add((IND, ax.individual))
-    elif isinstance(ax, RoleAssert):
-        _role_comps(ax.role, acc)
-        acc.add((IND, ax.subject))
-        acc.add((IND, ax.object))
-    else:
-        raise TypeError(f"not an axiom: {ax!r}")
+    for node in walk(x):
+        if isinstance(node, TopCtx):
+            acc.add((TOPCTX, node.ctx_id))
+        elif isinstance(node, ConceptAtom):
+            acc.add((CONC, node.term))
+        elif isinstance(node, RoleAtom):
+            acc.add((ROLE, node.term))
+        else:
+            acc.update((IND, t) for t in own_terms(node))
     return frozenset(acc)
 
 
@@ -550,16 +509,14 @@ def _compile_decide(ax: Axiom, slots: Slots, reflexive: bool) -> Callable[[Vals,
 
 class _Constraint:
     """An axiom required to hold (positive) or to fail, compiled over slots on
-    first use."""
+    first use. `comps` holds the slots of the components it reads."""
 
     def __init__(self, axiom: Axiom, positive: bool, slots: Slots, reflexive: bool):
         self.axiom = axiom
         self.positive = positive
-        self.comps = _axiom_comps(axiom)
+        self.comps = frozenset(_slot(slots, comp) for comp in _comps(axiom))
         self.slots = slots
         self.reflexive = reflexive
-        for comp in self.comps:
-            _slot(slots, comp)
 
     @cached_property
     def holds(self) -> Callable[[Vals, _Domain], bool]:
@@ -597,9 +554,9 @@ def _producer(con: _Constraint, target: CompKey) -> Optional[tuple[str, Bound]]:
     if isinstance(ax, ConceptSub):
         left, right = ax.left, ax.right
         if aspect == CONC or aspect == TOPCTX:
-            if _is_set_atom(left, target) and target not in _side_comps(right):
+            if _is_set_atom(left, target) and target not in _comps(right):
                 return "U", _exact(right, slots, reflexive)
-            if _is_set_atom(right, target) and target not in _side_comps(left):
+            if _is_set_atom(right, target) and target not in _comps(left):
                 return "L", _exact(left, slots, reflexive)
         if aspect == ROLE:
             if (
@@ -607,7 +564,7 @@ def _producer(con: _Constraint, target: CompKey) -> Optional[tuple[str, Bound]]:
                 and isinstance(left.role, RoleAtom)
                 and left.role.term == key
                 and isinstance(left.concept, Top)
-                and target not in _side_comps(right)
+                and target not in _comps(right)
             ):
                 domain = _exact(right, slots, reflexive)  # domain of role within rhs
                 return "U", lambda v, d: _product(domain(v, d), d.full, d)
@@ -616,16 +573,16 @@ def _producer(con: _Constraint, target: CompKey) -> Optional[tuple[str, Bound]]:
                 and isinstance(right, Forall)
                 and isinstance(right.role, RoleAtom)
                 and right.role.term == key
-                and target not in _side_comps(right.concept)
+                and target not in _comps(right.concept)
             ):
                 filler = _exact(right.concept, slots, reflexive)  # range of role within filler
                 return "U", lambda v, d: _product(d.full, filler(v, d), d)
     elif isinstance(ax, RoleSub):
         left, right = ax.left, ax.right
         if aspect == ROLE:
-            if isinstance(left, RoleAtom) and left.term == key and target not in _side_comps(right):
+            if isinstance(left, RoleAtom) and left.term == key and target not in _comps(right):
                 return "U", _exact(right, slots, reflexive)
-            if isinstance(right, RoleAtom) and right.term == key and target not in _side_comps(left):
+            if isinstance(right, RoleAtom) and right.term == key and target not in _comps(left):
                 return "L", _exact(left, slots, reflexive)
     return None
 
@@ -637,16 +594,6 @@ def _is_set_atom(expr, target: CompKey) -> bool:
     if aspect == TOPCTX:
         return isinstance(expr, TopCtx) and expr.ctx_id == key
     return False
-
-
-def _side_comps(expr) -> frozenset[CompKey]:
-    acc: set[CompKey] = set()
-    if isinstance(expr, (Top, Bottom, TopCtx, ConceptAtom, ConceptUnion, ConceptIntersection,
-                         ConceptNeg, Exists, Forall, AtMost, AtLeast, Nominals)):
-        _concept_comps(expr, acc)
-    else:
-        _role_comps(expr, acc)
-    return frozenset(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -684,16 +631,17 @@ class _Plan:
     first_ind: Optional[int]
 
 
-def _plan_group(comps: Sequence[CompKey], constraints: Sequence[_Constraint], slots: Slots) -> _Plan:
-    degree: dict[CompKey, int] = {c: 0 for c in comps}
+def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: Sequence[CompKey]) -> _Plan:
+    """`comps` are slots; `keys[slot]` is the component of a slot."""
+    degree: dict[int, int] = {c: 0 for c in comps}
     for con in constraints:
         for c in con.comps:
             degree[c] += 1
 
     phase = {IND: 0, TOPCTX: 1, CONC: 1, ROLE: 2}
 
-    def order_key(c: CompKey):
-        return (phase[c[0]], -degree[c], _comp_sort_key(c))
+    def order_key(c: int):
+        return (phase[keys[c][0]], -degree[c], _comp_sort_key(keys[c]))
 
     order = sorted(comps, key=order_key)
     position = {c: idx for idx, c in enumerate(order)}
@@ -710,7 +658,7 @@ def _plan_group(comps: Sequence[CompKey], constraints: Sequence[_Constraint], sl
         last = max(con.comps, key=position.__getitem__)
         i = position[last]
         others = positions & ~(1 << i)
-        prod = _producer(con, last)
+        prod = _producer(con, keys[last])
         if prod is not None:
             kind, bound = prod
             producers_at[i].append((kind, bound, others))
@@ -733,16 +681,9 @@ def _plan_group(comps: Sequence[CompKey], constraints: Sequence[_Constraint], sl
             if id(con) not in produced[j]:
                 determined[j] = False
 
-    first_ind = None
-    for idx, comp in enumerate(order):
-        if comp[0] == IND:
-            first_ind = idx
-            break
-
-    return _Plan(
-        [slots[c] for c in order], [c[0] for c in order],
-        producers_at, checks_at, watch_at, determined, first_ind,
-    )
+    aspects = [keys[c][0] for c in order]
+    first_ind = aspects.index(IND) if IND in aspects else None
+    return _Plan(order, aspects, producers_at, checks_at, watch_at, determined, first_ind)
 
 
 def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget, symmetry: bool) -> Optional[int]:
@@ -835,17 +776,17 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget, symmetry:
 
 
 def _group_constraints(
-    constraints: Sequence[_Constraint],
-) -> list[tuple[list[CompKey], list[_Constraint]]]:
-    parent: dict[CompKey, CompKey] = {}
+    constraints: Sequence[_Constraint], keys: Sequence[CompKey]
+) -> list[tuple[list[int], list[_Constraint]]]:
+    parent: dict[int, int] = {}
 
-    def find(x: CompKey) -> CompKey:
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(a: CompKey, b: CompKey) -> None:
+    def union(a: int, b: int) -> None:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
@@ -858,17 +799,17 @@ def _group_constraints(
         for other in cs[1:]:
             union(cs[0], other)
 
-    groups: dict[CompKey, tuple[list[CompKey], list[_Constraint]]] = {}
+    groups: dict[int, tuple[list[int], list[_Constraint]]] = {}
     for c in parent:
         groups.setdefault(find(c), ([], []))[0].append(c)
     for con in constraints:
         if con.comps:
             groups[find(next(iter(con.comps)))][1].append(con)
 
-    def group_key(item: tuple[CompKey, tuple[list, list]]):
+    def group_key(item: tuple[int, tuple[list, list]]):
         comps, cons = item[1]
         has_negative = any(not con.positive for con in cons)
-        return (0 if has_negative else 1, min(_comp_sort_key(c) for c in comps))
+        return (0 if has_negative else 1, min(_comp_sort_key(keys[c]) for c in comps))
 
     return [grp for _, grp in sorted(groups.items(), key=group_key)]
 
@@ -883,10 +824,12 @@ class _Problem:
 
 
 def _prepare(constraints: list[_Constraint], slots: Slots) -> _Problem:
-    grouped = _group_constraints([c for c in constraints if c.comps])
+    keys = list(slots)  # slots are numbered in insertion order
+    by_key = lambda c: _comp_sort_key(keys[c])  # noqa: E731
+    grouped = _group_constraints([c for c in constraints if c.comps], keys)
     return _Problem(
         [c for c in constraints if not c.comps],
-        [_plan_group(sorted(comps, key=_comp_sort_key), cons, slots) for comps, cons in grouped],
+        [_plan_group(sorted(comps, key=by_key), cons, keys) for comps, cons in grouped],
     )
 
 
@@ -905,13 +848,9 @@ def _solve_at_size(
 
 
 def _collect_ctx_ids(*ontologies: Ontology) -> set[str]:
-    ids: set[str] = set()
-    for onto in ontologies:
-        for ax in onto.axioms:
-            for comp in _axiom_comps(ax):
-                if comp[0] == TOPCTX:
-                    ids.add(comp[1])
-    return ids
+    return {
+        node.ctx_id for onto in ontologies for ax in onto.axioms for node in walk(ax) if isinstance(node, TopCtx)
+    }
 
 
 def _build_interpretation(

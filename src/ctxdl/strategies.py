@@ -30,36 +30,20 @@ from typing import Iterable, Union
 
 from .annotation import AnnotatedOntology, AnnotatedStatement, ContextualAnnotation
 from .core import (
-    AtLeast,
-    AtMost,
+    ABOX_FORMS,
     Axiom,
-    Bottom,
-    Closure,
-    Compose,
     ConceptAssert,
     ConceptAtom,
-    ConceptExpr,
-    ConceptIntersection,
-    ConceptNeg,
     ConceptSub,
-    ConceptUnion,
     Exists,
-    Forall,
-    Inverse,
     Nominals,
     Ontology,
-    Product,
     RoleAssert,
     RoleAtom,
-    RoleExpr,
-    RoleIntersection,
-    RoleNeg,
-    RoleSub,
-    RoleUnion,
     Term,
     TermKind,
-    Top,
     TopCtx,
+    map_children,
     signature_of,
     stable_hash,
 )
@@ -148,105 +132,16 @@ def statement_anchor(axiom: Axiom, ca: ContextualAnnotation) -> Term:
     return Term(f"st@{ca.ctx_id}@{stable_hash(axiom)}", TermKind.ANCHOR)
 
 
-def _rename_concept(c: ConceptExpr, scheme: RenamingScheme) -> ConceptExpr:
-    if isinstance(c, (Top, Bottom)):
-        return c
-    if isinstance(c, TopCtx):
-        return ConceptAtom(Term(f"top@{c.ctx_id}", TermKind.CONTEXTUAL))
-    if isinstance(c, ConceptAtom):
-        return ConceptAtom(scheme.rename(c.term))
-    if isinstance(c, ConceptUnion):
-        return ConceptUnion(_rename_concept(c.left, scheme), _rename_concept(c.right, scheme))
-    if isinstance(c, ConceptIntersection):
-        return ConceptIntersection(_rename_concept(c.left, scheme), _rename_concept(c.right, scheme))
-    if isinstance(c, ConceptNeg):
-        return ConceptNeg(_rename_concept(c.sub, scheme))
-    if isinstance(c, Exists):
-        return Exists(_rename_role(c.role, scheme), _rename_concept(c.concept, scheme))
-    if isinstance(c, Forall):
-        return Forall(_rename_role(c.role, scheme), _rename_concept(c.concept, scheme))
-    if isinstance(c, AtMost):
-        return AtMost(c.bound, _rename_role(c.role, scheme), _rename_concept(c.concept, scheme))
-    if isinstance(c, AtLeast):
-        return AtLeast(c.bound, _rename_role(c.role, scheme), _rename_concept(c.concept, scheme))
-    if isinstance(c, Nominals):
-        return Nominals(tuple(scheme.rename(u) for u in c.members))
-    raise TypeError(f"not a concept expression: {c!r}")
-
-
-def _rename_role(r: RoleExpr, scheme: RenamingScheme) -> RoleExpr:
-    if isinstance(r, RoleAtom):
-        return RoleAtom(scheme.rename(r.term))
-    if isinstance(r, RoleUnion):
-        return RoleUnion(_rename_role(r.left, scheme), _rename_role(r.right, scheme))
-    if isinstance(r, RoleIntersection):
-        return RoleIntersection(_rename_role(r.left, scheme), _rename_role(r.right, scheme))
-    if isinstance(r, RoleNeg):
-        return RoleNeg(_rename_role(r.sub, scheme))
-    if isinstance(r, Inverse):
-        return Inverse(_rename_role(r.sub, scheme))
-    if isinstance(r, Compose):
-        return Compose(_rename_role(r.left, scheme), _rename_role(r.right, scheme))
-    if isinstance(r, Closure):
-        return Closure(_rename_role(r.sub, scheme))
-    if isinstance(r, Product):
-        return Product(_rename_concept(r.left, scheme), _rename_concept(r.right, scheme))
-    raise TypeError(f"not a role expression: {r!r}")
-
-
 def rename_axiom(ax: Axiom, scheme: RenamingScheme) -> Axiom:
-    """Rename every term of the axiom into the scheme's context."""
-    if isinstance(ax, ConceptSub):
-        return ConceptSub(_rename_concept(ax.left, scheme), _rename_concept(ax.right, scheme))
-    if isinstance(ax, RoleSub):
-        return RoleSub(_rename_role(ax.left, scheme), _rename_role(ax.right, scheme))
-    if isinstance(ax, ConceptAssert):
-        return ConceptAssert(_rename_concept(ax.concept, scheme), scheme.rename(ax.individual))
-    if isinstance(ax, RoleAssert):
-        return RoleAssert(_rename_role(ax.role, scheme), scheme.rename(ax.subject), scheme.rename(ax.object))
-    raise TypeError(f"not an axiom: {ax!r}")
+    """Rename every term of the axiom into the scheme's context; a context
+    top becomes that context's contextual top concept."""
 
+    def rename(x):
+        if isinstance(x, TopCtx):
+            return ConceptAtom(Term(f"top@{x.ctx_id}", TermKind.CONTEXTUAL))
+        return map_children(x, rename, scheme.rename)
 
-def _rename_nominals_c(c: ConceptExpr, scheme: RenamingScheme) -> ConceptExpr:
-    if isinstance(c, Nominals):
-        return Nominals(tuple(scheme.rename(u) for u in c.members))
-    if isinstance(c, (Top, Bottom, TopCtx, ConceptAtom)):
-        return c
-    if isinstance(c, ConceptUnion):
-        return ConceptUnion(_rename_nominals_c(c.left, scheme), _rename_nominals_c(c.right, scheme))
-    if isinstance(c, ConceptIntersection):
-        return ConceptIntersection(_rename_nominals_c(c.left, scheme), _rename_nominals_c(c.right, scheme))
-    if isinstance(c, ConceptNeg):
-        return ConceptNeg(_rename_nominals_c(c.sub, scheme))
-    if isinstance(c, Exists):
-        return Exists(_rename_nominals_r(c.role, scheme), _rename_nominals_c(c.concept, scheme))
-    if isinstance(c, Forall):
-        return Forall(_rename_nominals_r(c.role, scheme), _rename_nominals_c(c.concept, scheme))
-    if isinstance(c, AtMost):
-        return AtMost(c.bound, _rename_nominals_r(c.role, scheme), _rename_nominals_c(c.concept, scheme))
-    if isinstance(c, AtLeast):
-        return AtLeast(c.bound, _rename_nominals_r(c.role, scheme), _rename_nominals_c(c.concept, scheme))
-    raise TypeError(f"not a concept expression: {c!r}")
-
-
-def _rename_nominals_r(r: RoleExpr, scheme: RenamingScheme) -> RoleExpr:
-    if isinstance(r, RoleAtom):
-        return r
-    if isinstance(r, RoleUnion):
-        return RoleUnion(_rename_nominals_r(r.left, scheme), _rename_nominals_r(r.right, scheme))
-    if isinstance(r, RoleIntersection):
-        return RoleIntersection(_rename_nominals_r(r.left, scheme), _rename_nominals_r(r.right, scheme))
-    if isinstance(r, RoleNeg):
-        return RoleNeg(_rename_nominals_r(r.sub, scheme))
-    if isinstance(r, Inverse):
-        return Inverse(_rename_nominals_r(r.sub, scheme))
-    if isinstance(r, Compose):
-        return Compose(_rename_nominals_r(r.left, scheme), _rename_nominals_r(r.right, scheme))
-    if isinstance(r, Closure):
-        return Closure(_rename_nominals_r(r.sub, scheme))
-    if isinstance(r, Product):
-        return Product(_rename_nominals_c(r.left, scheme), _rename_nominals_c(r.right, scheme))
-    raise TypeError(f"not a role expression: {r!r}")
+    return rename(ax)
 
 
 # ---------------------------------------------------------------------------
@@ -293,56 +188,29 @@ def _ndterms_statement(axiom: Axiom, ca: ContextualAnnotation) -> list[Axiom]:
 
 
 def _ndfluents_statement(axiom: Axiom, ca: ContextualAnnotation) -> list[Axiom]:
+    """Rename the individuals of an assertion: its arguments and the members
+    of its nominals. Concept and role names, and every TBox axiom, stay."""
     scheme = RenamingScheme(ca.ctx_id)
     ctx_anchor = annotation_anchor(ca)
-    renamed: list[Term] = []
-    if isinstance(axiom, ConceptAssert):
-        nominal_members = [u for u in signature_of(axiom.concept) if _occurs_in_nominal(axiom.concept, u)]
-        renamed = sorted(set(nominal_members) | {axiom.individual}, key=Term.sort_key)
-        new_axiom: Axiom = ConceptAssert(_rename_nominals_c(axiom.concept, scheme), scheme.rename(axiom.individual))
-    elif isinstance(axiom, RoleAssert):
-        nominal_members = [u for u in signature_of(axiom.role) if _occurs_in_nominal_role(axiom.role, u)]
-        renamed = sorted(set(nominal_members) | {axiom.subject, axiom.object}, key=Term.sort_key)
-        new_axiom = RoleAssert(
-            _rename_nominals_r(axiom.role, scheme),
-            scheme.rename(axiom.subject),
-            scheme.rename(axiom.object),
-        )
-    else:
-        new_axiom = axiom
-    out: list[Axiom] = [new_axiom]
+    individuals: set[Term] = set()
+
+    def rename_individual(t: Term) -> Term:
+        individuals.add(t)
+        return scheme.rename(t)
+
+    def rename(x):
+        if isinstance(x, (ConceptAtom, RoleAtom)):
+            return x
+        return map_children(x, rename, rename_individual)
+
+    out: list[Axiom] = [rename(axiom) if isinstance(axiom, ABOX_FORMS) else axiom]
+    renamed = sorted(individuals, key=Term.sort_key)
     for t in renamed:
         out.append(RoleAssert(RoleAtom(IS_CONTEXTUAL_PART_OF), scheme.rename(t), t))
     for t in renamed:
         out.append(RoleAssert(RoleAtom(IS_IN_CONTEXT), scheme.rename(t), ctx_anchor))
     out.extend(cx_of_annotation(ca, ctx_anchor))
     return out
-
-
-def _occurs_in_nominal(c: ConceptExpr, term: Term) -> bool:
-    if isinstance(c, Nominals):
-        return term in c.members
-    if isinstance(c, (Top, Bottom, TopCtx, ConceptAtom)):
-        return False
-    if isinstance(c, (ConceptUnion, ConceptIntersection)):
-        return _occurs_in_nominal(c.left, term) or _occurs_in_nominal(c.right, term)
-    if isinstance(c, ConceptNeg):
-        return _occurs_in_nominal(c.sub, term)
-    if isinstance(c, (Exists, Forall, AtMost, AtLeast)):
-        return _occurs_in_nominal_role(c.role, term) or _occurs_in_nominal(c.concept, term)
-    raise TypeError(f"not a concept expression: {c!r}")
-
-
-def _occurs_in_nominal_role(r: RoleExpr, term: Term) -> bool:
-    if isinstance(r, RoleAtom):
-        return False
-    if isinstance(r, (RoleUnion, RoleIntersection, Compose)):
-        return _occurs_in_nominal_role(r.left, term) or _occurs_in_nominal_role(r.right, term)
-    if isinstance(r, (RoleNeg, Inverse, Closure)):
-        return _occurs_in_nominal_role(r.sub, term)
-    if isinstance(r, Product):
-        return _occurs_in_nominal(r.left, term) or _occurs_in_nominal(r.right, term)
-    raise TypeError(f"not a role expression: {r!r}")
 
 
 def _atomic_role_assertion(axiom: Axiom) -> bool:
@@ -470,7 +338,6 @@ def combine_contexts(inputs: Iterable[AnnotatedOntology], strategy: Strategy) ->
         if cid in seen:
             raise DuplicateContextIdError(cid)
         seen.add(cid)
-    result = Ontology()
-    for item in items:
-        result = result.union(contextualize(strategy, item))
-    return result
+    parts = [contextualize(strategy, item) for item in items]
+    signature = frozenset().union(*(part.signature for part in parts))
+    return Ontology([ax for part in parts for ax in part.axioms], signature)

@@ -1,14 +1,18 @@
 import random
+import typing
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ctxdl.core import (
+    _CONSTRUCTORS,
     AtLeast,
     AtMost,
+    Axiom,
     Bottom,
     ConceptAssert,
     ConceptAtom,
+    ConceptExpr,
     ConceptSub,
     Exists,
     Inverse,
@@ -16,12 +20,16 @@ from ctxdl.core import (
     Ontology,
     RoleAssert,
     RoleAtom,
+    RoleExpr,
     Term,
     TermKind,
     Top,
     TopCtx,
+    map_children,
+    own_terms,
     signature_of,
     stable_hash,
+    walk,
 )
 
 from generators import random_axiom, random_concept, term_pool
@@ -123,3 +131,34 @@ def test_stable_hash_is_deterministic():
     again = RoleAssert(RoleAtom(Term.nc("R")), Term.nc("a"), Term.nc("b"))
     assert stable_hash(ax) == stable_hash(again)
     assert len(stable_hash(ax)) == 8
+
+
+def test_constructor_table_covers_exactly_the_expression_and_axiom_types():
+    members = set(typing.get_args(ConceptExpr)) | set(typing.get_args(RoleExpr)) | set(typing.get_args(Axiom))
+    assert set(_CONSTRUCTORS) == members
+
+
+@given(st.integers(0, 2**32), st.integers(0, 3))
+def test_map_children_with_identities_rebuilds_an_equal_value(seed, depth):
+    rng = random.Random(seed)
+    ax = random_axiom(rng, term_pool(3), depth)
+    for node in walk(ax):
+        assert map_children(node, lambda x: x, lambda t: t) == node
+
+
+def test_walk_visits_parents_first_left_to_right():
+    c, d = ConceptAtom(Term.nc("C")), ConceptAtom(Term.nc("D"))
+    r = RoleAtom(Term.nc("R"))
+    ax = ConceptSub(c, Exists(r, d))
+    assert list(walk(ax)) == [ax, c, Exists(r, d), r, d]
+    assert [t for node in walk(ax) for t in own_terms(node)] == [Term.nc("C"), Term.nc("R"), Term.nc("D")]
+
+
+@pytest.mark.parametrize("value", [Term.nc("C"), "C", None, Ontology()])
+def test_table_rejects_unknown_values(value):
+    with pytest.raises(TypeError):
+        list(walk(value))
+    with pytest.raises(TypeError):
+        own_terms(value)
+    with pytest.raises(TypeError):
+        map_children(value, lambda x: x, lambda t: t)

@@ -1,8 +1,11 @@
 """Differential validation of the bounded search against brute-force
 enumeration, plus soundness of the interval pruning rules."""
 
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,3 +323,31 @@ class TestSearchTree:
             sys.setrecursionlimit(limit)
         assert isinstance(verdict, SatisfiableAt) and verdict.size == 1
         assert is_model(verdict.model, combined)
+
+
+WITNESS_OF_SAME_NAME_TERMS = """
+from ctxdl.core import ConceptAssert, ConceptAtom, ConceptNeg, ConceptSub, ConceptUnion, Ontology, Term
+from ctxdl.search import find_model
+from ctxdl.textio import serialize
+
+plain, contextual = ConceptAtom(Term.nc("A")), ConceptAtom(Term.ctx("A"))
+onto = Ontology([
+    ConceptSub(plain, ConceptNeg(contextual)),
+    ConceptAssert(ConceptUnion(plain, contextual), Term.nc("x")),
+])
+print(serialize(find_model(onto, 2).model, "witness"), end="")
+"""
+
+
+def test_witness_does_not_depend_on_the_hash_seed():
+    # Two terms that differ only in kind tie on their names; the search order
+    # must break the tie by kind, not by set iteration order.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    witnesses = set()
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)}
+        done = subprocess.run([sys.executable, "-c", WITNESS_OF_SAME_NAME_TERMS],
+                              capture_output=True, text=True, env=env, timeout=120, check=True)
+        witnesses.add(done.stdout)
+    assert len(witnesses) == 1
