@@ -17,8 +17,16 @@ statement/annotation pairs of each corpus. A line holds the serialized
 output and the ``stable_hash`` of its axioms and sorted signature, which
 also pins the term kinds the text does not show.
 
-Two checkouts whose files compare equal walk the same search tree and
-rewrite to the same ontologies on all of these inputs:
+Last, it pins the text layer: for 3000 seeded documents (an ontology block
+from ``tests/generators.random_document_ontology``, an annotation block and
+a model block) one line holds the serialized text and the ``stable_hash`` of
+its parse, and for 3000 seeded mutations of those texts (a truncation or an
+inserted token) one line holds the parse error, or the ``stable_hash`` of
+the parse when the mutation still parses.
+
+Two checkouts whose files compare equal walk the same search tree, rewrite
+to the same ontologies, and print and parse the same text on all of these
+inputs:
 
     python3 scripts/search_fingerprint.py . new.jsonl
     python3 scripts/search_fingerprint.py ../parent old.jsonl
@@ -41,7 +49,8 @@ def main(checkout: Path, out_path: Path) -> None:
     import workloads
 
     mods = workloads.load_modules()
-    from generators import random_axiom, term_pool  # imports the ctxdl just loaded
+    from generators import (  # imports the ctxdl just loaded
+        random_axiom, random_document_ontology, random_interpretation, term_pool)
     search, sem, textio = mods.search, mods.semantics, mods.textio
 
     budgets = []
@@ -137,6 +146,61 @@ def main(checkout: Path, out_path: Path) -> None:
         for _, premise, conclusion in mods.verify.curated_entailment_pairs():
             curated += [premise, conclusion]
         rewrite_all("contextualize/curated", [(onto, ca) for onto in curated])
+
+        core = mods.core
+
+        def canonical(doc):
+            """The parse as plain data in a hash-seed-independent order."""
+            out = []
+            for block in doc.blocks:
+                value = block.payload
+                if isinstance(value, core.Ontology):
+                    value = (value.axioms, tuple(value.sorted_signature()))
+                elif isinstance(value, annotation.ContextualAnnotation):
+                    value = (value.anchor, value.abox, value.ctx_id, sorted(value.sigma, key=core.Term.sort_key))
+                else:
+                    value = (value.size, *(
+                        [(t, sorted(table[t]) if aspect != "indiv" else table[t])
+                         for t in sorted(table, key=core.Term.sort_key)]
+                        for aspect, table in (("indiv", value.indiv), ("conc", value.conc), ("role", value.role))
+                    ), sorted((cid, sorted(s)) for cid, s in value.top_ctx.items()))
+                out.append((block.kind.value, block.name, block.span, value))
+            return core.stable_hash(out, 16)
+
+        def emit_text(call_id, text):
+            record = {"id": call_id}
+            try:
+                record["parse"] = canonical(textio.parse(text))
+            except Exception as exc:  # the error message is part of the fingerprint
+                record["error"] = f"{type(exc).__name__}: {exc}"
+            out.write(json.dumps(record, sort_keys=True) + "\n")
+
+        rng = random.Random(20251018)
+        texts = []
+        for i in range(3000):
+            anchor = core.Term.nc(f"a{i}")
+            abox = [core.RoleAssert(core.RoleAtom(core.Term.nc(f"r{i}")), anchor, core.Term.nc(f"v{i}"))]
+            blocks = [
+                textio.Block(textio.BlockKind.ONTOLOGY, f"o{i}", random_document_ontology(rng, i)),
+                textio.Block(textio.BlockKind.ANNOTATION, f"ctx{i}",
+                             annotation.validate_annotation(anchor, abox, ctx_id=f"ctx{i}")),
+                textio.Block(textio.BlockKind.MODEL, f"m{i}", random_interpretation(
+                    rng, term_pool(rng.randint(1, 3), prefix=f"m{i}x"), rng.randint(1, 3))),
+            ]
+            text = textio.serialize(textio.SourceDocument(tuple(rng.sample(blocks, rng.randint(1, 3)))))
+            texts.append(text)
+            out.write(json.dumps({"id": f"text/{i}", "text": text}, sort_keys=True) + "\n")
+            emit_text(f"text/{i}/parse", text)
+        tokens = ["(", ")", ",", ".", "{", "}", "[", "]", "=", "-", "x", "7", "top", "and", "atmost", "inv",
+                  "product", "oneof", "ctxtop", "sub", "rsub", "model", "domain", "role"]
+        for i in range(3000):
+            text = rng.choice(texts)
+            cut = rng.randrange(len(text))
+            if rng.random() < 0.3:
+                mutated = text[:cut]
+            else:
+                mutated = f"{text[:cut]} {rng.choice(tokens)} {text[cut:]}"
+            emit_text(f"mutation/{i}", mutated)
 
 
 if __name__ == "__main__":

@@ -334,6 +334,11 @@ def walk(x: Expr) -> Iterator[Expr]:
         stack.extend(reversed(_row(node)[0](node)))
 
 
+def children(x: Expr) -> tuple[Expr, ...]:
+    """The sub-expressions of `x`, in field order."""
+    return _row(x)[0](x)
+
+
 def own_terms(node: Expr) -> tuple[Term, ...]:
     """The terms `node` holds itself: an atom's term, a nominal's members,
     an assertion's individuals. A TopCtx node holds none."""

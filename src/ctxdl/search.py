@@ -11,7 +11,8 @@ x*n+y set for each pair (x, y), so increasing bit order is the sorted-pair
 order. Each component gets an integer slot once per call; a partial
 assignment is a list indexed by slot, with None for unassigned. Each axiom is
 compiled once per call into closures over slots: an exact evaluator, an
-interval evaluator, and bound producers. The closures take the domain size
+interval evaluator, and bound producers. Both evaluators follow one table of
+mask rules, one per compound constructor. The closures take the domain size
 at run time, so one compilation and one plan serve every size. Witnesses are
 decoded back into frozensets only when the `Interpretation` is built.
 
@@ -67,6 +68,7 @@ from .core import (
     Term,
     Top,
     TopCtx,
+    children,
     own_terms,
     walk,
 )
@@ -108,16 +110,24 @@ def _slot(slots: Slots, comp: CompKey) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _atom_comp(e) -> Optional[CompKey]:
+    """The component an atom reads; None for every other node."""
+    if isinstance(e, TopCtx):
+        return (TOPCTX, e.ctx_id)
+    if isinstance(e, ConceptAtom):
+        return (CONC, e.term)
+    if isinstance(e, RoleAtom):
+        return (ROLE, e.term)
+    return None
+
+
 def _comps(x) -> frozenset[CompKey]:
     """The components an axiom or expression reads."""
     acc: set[CompKey] = set()
     for node in walk(x):
-        if isinstance(node, TopCtx):
-            acc.add((TOPCTX, node.ctx_id))
-        elif isinstance(node, ConceptAtom):
-            acc.add((CONC, node.term))
-        elif isinstance(node, RoleAtom):
-            acc.add((ROLE, node.term))
+        comp = _atom_comp(node)
+        if comp is not None:
+            acc.add(comp)
         else:
             acc.update((IND, t) for t in own_terms(node))
     return frozenset(acc)
@@ -258,14 +268,49 @@ Exact = Callable[[Vals, _Domain], int]
 Interval = Callable[[Vals, _Domain], tuple[int, int]]
 
 
+def _fixed(op: Callable) -> Callable:
+    return lambda e, reflexive: op
+
+
+# Per compound constructor: the maker of its mask operation, which takes the
+# node and the closure option and returns `op(*child values, domain)`, and
+# per child, in `children` order, whether `op` is monotone (True) or
+# antitone (False) in it.
+_MASK_RULES: dict[type, tuple[Callable, tuple[bool, ...]]] = {
+    ConceptUnion: (_fixed(lambda a, b, d: a | b), (True, True)),
+    ConceptIntersection: (_fixed(lambda a, b, d: a & b), (True, True)),
+    ConceptNeg: (_fixed(lambda a, d: d.full ^ a), (False,)),
+    Exists: (_fixed(_exists), (True, True)),
+    Forall: (_fixed(_forall), (False, True)),
+    AtMost: (lambda e, reflexive: lambda r, c, d: _at_most(r, c, e.bound, d), (False, False)),
+    AtLeast: (lambda e, reflexive: lambda r, c, d: d.full ^ _at_most(r, c, e.bound - 1, d), (True, True)),
+    RoleUnion: (_fixed(lambda a, b, d: a | b), (True, True)),
+    RoleIntersection: (_fixed(lambda a, b, d: a & b), (True, True)),
+    RoleNeg: (_fixed(lambda a, d: d.pairs ^ a), (False,)),
+    Inverse: (_fixed(_inverse), (True,)),
+    Compose: (_fixed(_compose), (True, True)),
+    Closure: (lambda e, reflexive: lambda r, d: _closure(r, d, reflexive), (True,)),
+    Product: (_fixed(_product), (True, True)),
+}
+
+
+def _mask_rule(e, reflexive: bool) -> tuple[Callable, tuple[bool, ...]]:
+    try:
+        make, monotone = _MASK_RULES[type(e)]
+    except KeyError:
+        raise TypeError(f"not an expression: {e!r}") from None
+    return make(e, reflexive), monotone
+
+
 def _exact(e, slots: Slots, reflexive: bool) -> Exact:
+    comp = _atom_comp(e)
+    if comp is not None:
+        s = _slot(slots, comp)
+        return lambda v, d: v[s]
     if isinstance(e, Top):
         return lambda v, d: d.full
     if isinstance(e, Bottom):
         return lambda v, d: 0
-    if isinstance(e, (TopCtx, ConceptAtom, RoleAtom)):
-        s = _slot(slots, _atom_comp(e))
-        return lambda v, d: v[s]
     if isinstance(e, Nominals):
         members = [_slot(slots, (IND, u)) for u in e.members]
 
@@ -276,59 +321,31 @@ def _exact(e, slots: Slots, reflexive: bool) -> Exact:
             return out
 
         return nominals
-    if isinstance(e, (ConceptUnion, RoleUnion)):
-        f, g = _exact(e.left, slots, reflexive), _exact(e.right, slots, reflexive)
-        return lambda v, d: f(v, d) | g(v, d)
-    if isinstance(e, (ConceptIntersection, RoleIntersection)):
-        f, g = _exact(e.left, slots, reflexive), _exact(e.right, slots, reflexive)
-        return lambda v, d: f(v, d) & g(v, d)
-    if isinstance(e, ConceptNeg):
-        f = _exact(e.sub, slots, reflexive)
-        return lambda v, d: d.full ^ f(v, d)
-    if isinstance(e, RoleNeg):
-        f = _exact(e.sub, slots, reflexive)
-        return lambda v, d: d.pairs ^ f(v, d)
-    if isinstance(e, (Exists, Forall, AtMost, AtLeast)):
-        r, c = _exact(e.role, slots, reflexive), _exact(e.concept, slots, reflexive)
-        if isinstance(e, Exists):
-            return lambda v, d: _exists(r(v, d), c(v, d), d)
-        if isinstance(e, Forall):
-            return lambda v, d: _forall(r(v, d), c(v, d), d)
-        k = e.bound
-        if isinstance(e, AtMost):
-            return lambda v, d: _at_most(r(v, d), c(v, d), k, d)
-        return lambda v, d: d.full ^ _at_most(r(v, d), c(v, d), k - 1, d)
-    if isinstance(e, (Inverse, Closure)):
-        f, op = _exact(e.sub, slots, reflexive), _role_op(e, reflexive)
+    op, _ = _mask_rule(e, reflexive)
+    fs = [_exact(c, slots, reflexive) for c in children(e)]
+    if len(fs) == 1:
+        (f,) = fs
         return lambda v, d: op(f(v, d), d)
-    if isinstance(e, (Compose, Product)):
-        f, g = _exact(e.left, slots, reflexive), _exact(e.right, slots, reflexive)
-        op = _compose if isinstance(e, Compose) else _product
-        return lambda v, d: op(f(v, d), g(v, d), d)
-    raise TypeError(f"not an expression: {e!r}")
+    f, g = fs
+    return lambda v, d: op(f(v, d), g(v, d), d)
 
 
 def _interval(e, slots: Slots, reflexive: bool) -> Interval:
+    comp = _atom_comp(e)
+    if comp is not None:
+        s, role = _slot(slots, comp), comp[0] == ROLE
+
+        def atom(v, d):
+            val = v[s]
+            if val is not None:
+                return val, val
+            return 0, d.pairs if role else d.full
+
+        return atom
     if isinstance(e, Top):
         return lambda v, d: (d.full, d.full)
     if isinstance(e, Bottom):
         return lambda v, d: (0, 0)
-    if isinstance(e, (TopCtx, ConceptAtom)):
-        s = _slot(slots, _atom_comp(e))
-
-        def set_atom(v, d):
-            val = v[s]
-            return (val, val) if val is not None else (0, d.full)
-
-        return set_atom
-    if isinstance(e, RoleAtom):
-        s = _slot(slots, _atom_comp(e))
-
-        def role_atom(v, d):
-            val = v[s]
-            return (val, val) if val is not None else (0, d.pairs)
-
-        return role_atom
     if isinstance(e, Nominals):
         members = [_slot(slots, (IND, u)) for u in e.members]
 
@@ -343,98 +360,28 @@ def _interval(e, slots: Slots, reflexive: bool) -> Interval:
             return (lo, lo) if complete else (lo, d.full)
 
         return nominals
-    if isinstance(e, (ConceptUnion, RoleUnion)):
-        f, g = _interval(e.left, slots, reflexive), _interval(e.right, slots, reflexive)
+    # The operation on the bounds: a child's lower bound gives the lower
+    # result where the operation is monotone in it, its upper bound where
+    # antitone.
+    op, monotone = _mask_rule(e, reflexive)
+    fs = [_interval(c, slots, reflexive) for c in children(e)]
+    if len(fs) == 1:
+        (f,) = fs
+        i = 0 if monotone[0] else 1
 
-        def union(v, d):
-            (lo1, hi1), (lo2, hi2) = f(v, d), g(v, d)
-            return lo1 | lo2, hi1 | hi2
+        def unary(v, d):
+            x = f(v, d)
+            return op(x[i], d), op(x[1 - i], d)
 
-        return union
-    if isinstance(e, (ConceptIntersection, RoleIntersection)):
-        f, g = _interval(e.left, slots, reflexive), _interval(e.right, slots, reflexive)
+        return unary
+    f, g = fs
+    i, j = (0 if m else 1 for m in monotone)
 
-        def intersection(v, d):
-            (lo1, hi1), (lo2, hi2) = f(v, d), g(v, d)
-            return lo1 & lo2, hi1 & hi2
+    def binary(v, d):
+        x, y = f(v, d), g(v, d)
+        return op(x[i], y[j], d), op(x[1 - i], y[1 - j], d)
 
-        return intersection
-    if isinstance(e, ConceptNeg):
-        f = _interval(e.sub, slots, reflexive)
-
-        def complement(v, d):
-            lo, hi = f(v, d)
-            return d.full ^ hi, d.full ^ lo
-
-        return complement
-    if isinstance(e, RoleNeg):
-        f = _interval(e.sub, slots, reflexive)
-
-        def role_complement(v, d):
-            lo, hi = f(v, d)
-            return d.pairs ^ hi, d.pairs ^ lo
-
-        return role_complement
-    if isinstance(e, (Exists, Forall, AtMost, AtLeast)):
-        r, c = _interval(e.role, slots, reflexive), _interval(e.concept, slots, reflexive)
-        if isinstance(e, Exists):
-
-            def exists(v, d):
-                (rlo, rhi), (clo, chi) = r(v, d), c(v, d)
-                return _exists(rlo, clo, d), _exists(rhi, chi, d)
-
-            return exists
-        if isinstance(e, Forall):
-
-            def forall(v, d):
-                (rlo, rhi), (clo, chi) = r(v, d), c(v, d)
-                return _forall(rhi, clo, d), _forall(rlo, chi, d)
-
-            return forall
-        k = e.bound
-        if isinstance(e, AtMost):
-
-            def at_most(v, d):
-                (rlo, rhi), (clo, chi) = r(v, d), c(v, d)
-                return _at_most(rhi, chi, k, d), _at_most(rlo, clo, k, d)
-
-            return at_most
-
-        def at_least(v, d):
-            (rlo, rhi), (clo, chi) = r(v, d), c(v, d)
-            return d.full ^ _at_most(rlo, clo, k - 1, d), d.full ^ _at_most(rhi, chi, k - 1, d)
-
-        return at_least
-    if isinstance(e, (Inverse, Closure)):
-        f, op = _interval(e.sub, slots, reflexive), _role_op(e, reflexive)
-
-        def monotone(v, d):
-            lo, hi = f(v, d)
-            return op(lo, d), op(hi, d)
-
-        return monotone
-    if isinstance(e, (Compose, Product)):
-        f, g = _interval(e.left, slots, reflexive), _interval(e.right, slots, reflexive)
-        op = _compose if isinstance(e, Compose) else _product
-
-        def pointwise(v, d):
-            (lo1, hi1), (lo2, hi2) = f(v, d), g(v, d)
-            return op(lo1, lo2, d), op(hi1, hi2, d)
-
-        return pointwise
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _role_op(e, reflexive: bool) -> Callable[[int, _Domain], int]:
-    if isinstance(e, Inverse):
-        return _inverse
-    return lambda rel, d: _closure(rel, d, reflexive)
-
-
-def _atom_comp(e) -> CompKey:
-    if isinstance(e, TopCtx):
-        return (TOPCTX, e.ctx_id)
-    return (CONC if isinstance(e, ConceptAtom) else ROLE, e.term)
+    return binary
 
 
 def _compile_holds(ax: Axiom, slots: Slots, reflexive: bool) -> Callable[[Vals, _Domain], bool]:
@@ -535,65 +482,40 @@ def _producer(con: _Constraint, target: CompKey) -> Optional[tuple[str, Bound]]:
     assigned: the kind, "L" (forced members), "U" (allowed members) or "X"
     (excluded members), and the closure giving the bound's mask."""
     ax, slots, reflexive = con.axiom, con.slots, con.reflexive
-    aspect, key = target
     if isinstance(ax, RoleAssert):
-        if aspect == ROLE and isinstance(ax.role, RoleAtom) and ax.role.term == key:
+        if _atom_comp(ax.role) == target:
             s, o = slots[(IND, ax.subject)], slots[(IND, ax.object)]
             return ("L" if con.positive else "X"), lambda v, d: 1 << v[s] * d.n + v[o]
         return None
     if isinstance(ax, ConceptAssert):
-        c = ax.concept
-        if (aspect == CONC and isinstance(c, ConceptAtom) and c.term == key) or (
-            aspect == TOPCTX and isinstance(c, TopCtx) and c.ctx_id == key
-        ):
+        if _atom_comp(ax.concept) == target:
             s = slots[(IND, ax.individual)]
             return ("L" if con.positive else "X"), lambda v, d: 1 << v[s]
         return None
     if not con.positive:
         return None
-    if isinstance(ax, ConceptSub):
-        left, right = ax.left, ax.right
-        if aspect == CONC or aspect == TOPCTX:
-            if _is_set_atom(left, target) and target not in _comps(right):
-                return "U", _exact(right, slots, reflexive)
-            if _is_set_atom(right, target) and target not in _comps(left):
-                return "L", _exact(left, slots, reflexive)
-        if aspect == ROLE:
-            if (
-                isinstance(left, Exists)
-                and isinstance(left.role, RoleAtom)
-                and left.role.term == key
-                and isinstance(left.concept, Top)
-                and target not in _comps(right)
-            ):
-                domain = _exact(right, slots, reflexive)  # domain of role within rhs
-                return "U", lambda v, d: _product(domain(v, d), d.full, d)
-            if (
-                isinstance(left, Top)
-                and isinstance(right, Forall)
-                and isinstance(right.role, RoleAtom)
-                and right.role.term == key
-                and target not in _comps(right.concept)
-            ):
-                filler = _exact(right.concept, slots, reflexive)  # range of role within filler
-                return "U", lambda v, d: _product(d.full, filler(v, d), d)
-    elif isinstance(ax, RoleSub):
-        left, right = ax.left, ax.right
-        if aspect == ROLE:
-            if isinstance(left, RoleAtom) and left.term == key and target not in _comps(right):
-                return "U", _exact(right, slots, reflexive)
-            if isinstance(right, RoleAtom) and right.term == key and target not in _comps(left):
-                return "L", _exact(left, slots, reflexive)
+    left, right = ax.left, ax.right
+    if _atom_comp(left) == target and target not in _comps(right):
+        return "U", _exact(right, slots, reflexive)
+    if _atom_comp(right) == target and target not in _comps(left):
+        return "L", _exact(left, slots, reflexive)
+    if (
+        isinstance(left, Exists)
+        and isinstance(left.concept, Top)
+        and _atom_comp(left.role) == target
+        and target not in _comps(right)
+    ):
+        domain = _exact(right, slots, reflexive)  # domain of role within rhs
+        return "U", lambda v, d: _product(domain(v, d), d.full, d)
+    if (
+        isinstance(left, Top)
+        and isinstance(right, Forall)
+        and _atom_comp(right.role) == target
+        and target not in _comps(right.concept)
+    ):
+        filler = _exact(right.concept, slots, reflexive)  # range of role within filler
+        return "U", lambda v, d: _product(d.full, filler(v, d), d)
     return None
-
-
-def _is_set_atom(expr, target: CompKey) -> bool:
-    aspect, key = target
-    if aspect == CONC:
-        return isinstance(expr, ConceptAtom) and expr.term == key
-    if aspect == TOPCTX:
-        return isinstance(expr, TopCtx) and expr.ctx_id == key
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ from .core import (
     signature_of,
     stable_hash,
 )
-from .relativize import ContextualTermInSignatureError, relativize_ontology
+from .relativize import ContextualTermInSignatureError, membership_axioms, relativize_axiom
+from .relativize import relativize_ontology  # noqa: F401  re-exported
 
 # Reserved vocabulary shared by all contexts.
 IS_CONTEXTUAL_PART_OF = Term.nc("isContextualPartOf")
@@ -138,7 +139,7 @@ def rename_axiom(ax: Axiom, scheme: RenamingScheme) -> Axiom:
 
     def rename(x):
         if isinstance(x, TopCtx):
-            return ConceptAtom(Term(f"top@{x.ctx_id}", TermKind.CONTEXTUAL))
+            return ConceptAtom(RenamingScheme(x.ctx_id).top_term())
         return map_children(x, rename, scheme.rename)
 
     return rename(ax)
@@ -173,25 +174,34 @@ def cx_of_annotation(ca: ContextualAnnotation, anchor_replacement: Term) -> list
 # ---------------------------------------------------------------------------
 
 
-def _ndterms_statement(axiom: Axiom, ca: ContextualAnnotation) -> list[Axiom]:
+def _sliced(out: list[Axiom], terms: list[Term], ca: ContextualAnnotation) -> list[Axiom]:
+    """`out` followed by the links of each renamed term to its original
+    (isContextualPartOf) and to the context anchor (isInContext), and by the
+    context part."""
     scheme = RenamingScheme(ca.ctx_id)
     ctx_anchor = annotation_anchor(ca)
-    relativized = relativize_ontology(Ontology([axiom]), ca.ctx_id)
-    out = [rename_axiom(ax, scheme) for ax in relativized.axioms]
-    terms = sorted(signature_of(axiom), key=Term.sort_key)
-    for t in terms:
-        out.append(RoleAssert(RoleAtom(IS_CONTEXTUAL_PART_OF), scheme.rename(t), t))
-    for t in terms:
-        out.append(RoleAssert(RoleAtom(IS_IN_CONTEXT), scheme.rename(t), ctx_anchor))
+    out.extend(RoleAssert(RoleAtom(IS_CONTEXTUAL_PART_OF), scheme.rename(t), t) for t in terms)
+    out.extend(RoleAssert(RoleAtom(IS_IN_CONTEXT), scheme.rename(t), ctx_anchor) for t in terms)
     out.extend(cx_of_annotation(ca, ctx_anchor))
     return out
+
+
+def _ndterms_statement(axiom: Axiom, ca: ContextualAnnotation) -> list[Axiom]:
+    """Relativize the statement, add the membership axioms of its terms, and
+    rename everything. Duplicates are left to the final ontology: the
+    renaming is injective, so they collapse there just the same."""
+    scheme = RenamingScheme(ca.ctx_id)
+    terms = sorted(signature_of(axiom), key=Term.sort_key)
+    out = [rename_axiom(relativize_axiom(axiom, ca.ctx_id), scheme)]
+    for t in terms:
+        out.extend(rename_axiom(ax, scheme) for ax in membership_axioms(t, ca.ctx_id))
+    return _sliced(out, terms, ca)
 
 
 def _ndfluents_statement(axiom: Axiom, ca: ContextualAnnotation) -> list[Axiom]:
     """Rename the individuals of an assertion: its arguments and the members
     of its nominals. Concept and role names, and every TBox axiom, stay."""
     scheme = RenamingScheme(ca.ctx_id)
-    ctx_anchor = annotation_anchor(ca)
     individuals: set[Term] = set()
 
     def rename_individual(t: Term) -> Term:
@@ -204,13 +214,7 @@ def _ndfluents_statement(axiom: Axiom, ca: ContextualAnnotation) -> list[Axiom]:
         return map_children(x, rename, rename_individual)
 
     out: list[Axiom] = [rename(axiom) if isinstance(axiom, ABOX_FORMS) else axiom]
-    renamed = sorted(individuals, key=Term.sort_key)
-    for t in renamed:
-        out.append(RoleAssert(RoleAtom(IS_CONTEXTUAL_PART_OF), scheme.rename(t), t))
-    for t in renamed:
-        out.append(RoleAssert(RoleAtom(IS_IN_CONTEXT), scheme.rename(t), ctx_anchor))
-    out.extend(cx_of_annotation(ca, ctx_anchor))
-    return out
+    return _sliced(out, sorted(individuals, key=Term.sort_key), ca)
 
 
 def _atomic_role_assertion(axiom: Axiom) -> bool:

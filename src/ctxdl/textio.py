@@ -9,14 +9,16 @@ token boundary, so derived names like `capital#1` lex as one identifier.
 
 Serialization is canonical: one axiom per line in insertion order, single
 spacing, sorted model denotations. Parsing a serialized document yields a
-structurally identical document.
+structurally identical document; a term whose name would not parse back as
+that term is refused with a ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Union
+from functools import lru_cache
+from typing import Iterable, Union, get_args
 
 from .annotation import AnnotationError, ContextualAnnotation, validate_annotation
 from .core import (
@@ -50,21 +52,40 @@ from .core import (
     TermKind,
     Top,
     TopCtx,
+    children,
 )
 from .semantics import Interpretation
 
+# Per keyword of a compound expression: its constructor and the sorts of
+# its arguments in field order, "c" a concept, "r" a role, "n" a natural
+# number. `top`, `bottom`, `ctxtop[...]`, atoms and `oneof(...)` are read
+# and printed by hand.
+_FORMS: dict[str, tuple[type, str]] = {
+    "and": (ConceptIntersection, "cc"),
+    "or": (ConceptUnion, "cc"),
+    "not": (ConceptNeg, "c"),
+    "exists": (Exists, "rc"),
+    "forall": (Forall, "rc"),
+    "atmost": (AtMost, "nrc"),
+    "atleast": (AtLeast, "nrc"),
+    "rand": (RoleIntersection, "rr"),
+    "ror": (RoleUnion, "rr"),
+    "rnot": (RoleNeg, "r"),
+    "inv": (Inverse, "r"),
+    "comp": (Compose, "rr"),
+    "closure": (Closure, "r"),
+    "product": (Product, "cc"),
+}
+_FORM_OF = {ctor: (keyword, sorts) for keyword, (ctor, sorts) in _FORMS.items()}
+
+_ROLE_KEYWORDS = frozenset(k for k, (ctor, _) in _FORMS.items() if ctor in get_args(RoleExpr))
+_CONCEPT_KEYWORDS = frozenset(_FORMS).difference(_ROLE_KEYWORDS) | {"top", "bottom", "ctxtop", "oneof"}
+
 RESERVED = frozenset(
-    """ontology annotation model anchor top bottom ctxtop and or not exists forall
-    atmost atleast oneof rand ror rnot inv comp closure product sub rsub
-    domain indiv conc role""".split()
-)
+    "ontology annotation model anchor sub rsub domain indiv conc role".split()
+) | _CONCEPT_KEYWORDS | _ROLE_KEYWORDS
 
 _IDENT_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_#@")
-
-_CONCEPT_KEYWORDS = frozenset(
-    {"top", "bottom", "ctxtop", "and", "or", "not", "exists", "forall", "atmost", "atleast", "oneof"}
-)
-_ROLE_KEYWORDS = frozenset({"rand", "ror", "rnot", "inv", "comp", "closure", "product"})
 
 
 class ParseError(ValueError):
@@ -402,39 +423,6 @@ class _Parser:
             ctx_id = self.ident("context id").text
             self.expect("]")
             return TopCtx(ctx_id)
-        if text == "and" or text == "or":
-            self.next()
-            self.expect("(")
-            left = self.concept()
-            self.expect(",")
-            right = self.concept()
-            self.expect(")")
-            return ConceptIntersection(left, right) if text == "and" else ConceptUnion(left, right)
-        if text == "not":
-            self.next()
-            self.expect("(")
-            sub = self.concept()
-            self.expect(")")
-            return ConceptNeg(sub)
-        if text in ("exists", "forall"):
-            self.next()
-            self.expect("(")
-            role = self.role()
-            self.expect(",")
-            concept = self.concept()
-            self.expect(")")
-            return Exists(role, concept) if text == "exists" else Forall(role, concept)
-        if text in ("atmost", "atleast"):
-            self.next()
-            self.expect("(")
-            bound = self.nat("cardinality")
-            self.expect(",")
-            role = self.role()
-            self.expect(",")
-            concept = self.concept()
-            self.expect(")")
-            ctor = AtMost if text == "atmost" else AtLeast
-            return ctor(bound, role, concept)
         if text == "oneof":
             self.next()
             self.expect("(")
@@ -444,6 +432,8 @@ class _Parser:
                 members.append(_term(self.ident("individual").text))
             self.expect(")")
             return Nominals(tuple(members))
+        if text in _CONCEPT_KEYWORDS:
+            return self._form(text)
         if tok.is_ident and text not in RESERVED:
             self.next()
             return ConceptAtom(_term(text))
@@ -454,40 +444,30 @@ class _Parser:
         if tok is None:
             raise self._error("role expected")
         text = tok.text
-        if text in ("rand", "ror", "comp"):
-            self.next()
-            self.expect("(")
-            left = self.role()
-            self.expect(",")
-            right = self.role()
-            self.expect(")")
-            if text == "rand":
-                return RoleIntersection(left, right)
-            if text == "ror":
-                return RoleUnion(left, right)
-            return Compose(left, right)
-        if text in ("rnot", "inv", "closure"):
-            self.next()
-            self.expect("(")
-            sub = self.role()
-            self.expect(")")
-            if text == "rnot":
-                return RoleNeg(sub)
-            if text == "inv":
-                return Inverse(sub)
-            return Closure(sub)
-        if text == "product":
-            self.next()
-            self.expect("(")
-            left = self.concept()
-            self.expect(",")
-            right = self.concept()
-            self.expect(")")
-            return Product(left, right)
+        if text in _ROLE_KEYWORDS:
+            return self._form(text)
         if tok.is_ident and text not in RESERVED:
             self.next()
             return RoleAtom(_term(text))
         raise self._error("role expected")
+
+    def _form(self, keyword: str):
+        """`keyword(arg, ...)`, its arguments read by their sorts."""
+        ctor, sorts = _FORMS[keyword]
+        self.next()
+        self.expect("(")
+        args = []
+        for i, sort in enumerate(sorts):
+            if i:
+                self.expect(",")
+            if sort == "c":
+                args.append(self.concept())
+            elif sort == "r":
+                args.append(self.role())
+            else:
+                args.append(self.nat("cardinality"))
+        self.expect(")")
+        return ctor(*args)
 
 
 def parse(text: str) -> SourceDocument:
@@ -499,63 +479,51 @@ def parse(text: str) -> SourceDocument:
 # ---------------------------------------------------------------------------
 
 
-def concept_text(c: ConceptExpr) -> str:
-    if isinstance(c, Top):
+@lru_cache(maxsize=4096)
+def _read_back(name: str) -> TermKind | None:
+    """The kind of term `name` parses as, or None if it is no identifier."""
+    if name in RESERVED or not _IDENT_CHARS.issuperset(name):
+        return None
+    return infer_kind(name)
+
+
+def _name(t: Term) -> str:
+    """`t`'s name, which must parse back as `t`."""
+    if _read_back(t.name) is not t.kind:
+        raise ValueError(f"term {t.name!r} of kind {t.kind.name} has no text form: it would not parse back as itself")
+    return t.name
+
+
+def expr_text(e: ConceptExpr | RoleExpr) -> str:
+    if isinstance(e, (ConceptAtom, RoleAtom)):
+        return _name(e.term)
+    if isinstance(e, Top):
         return "top"
-    if isinstance(c, Bottom):
+    if isinstance(e, Bottom):
         return "bottom"
-    if isinstance(c, TopCtx):
-        return f"ctxtop[{c.ctx_id}]"
-    if isinstance(c, ConceptAtom):
-        return c.term.name
-    if isinstance(c, ConceptUnion):
-        return f"or({concept_text(c.left)}, {concept_text(c.right)})"
-    if isinstance(c, ConceptIntersection):
-        return f"and({concept_text(c.left)}, {concept_text(c.right)})"
-    if isinstance(c, ConceptNeg):
-        return f"not({concept_text(c.sub)})"
-    if isinstance(c, Exists):
-        return f"exists({role_text(c.role)}, {concept_text(c.concept)})"
-    if isinstance(c, Forall):
-        return f"forall({role_text(c.role)}, {concept_text(c.concept)})"
-    if isinstance(c, AtMost):
-        return f"atmost({c.bound}, {role_text(c.role)}, {concept_text(c.concept)})"
-    if isinstance(c, AtLeast):
-        return f"atleast({c.bound}, {role_text(c.role)}, {concept_text(c.concept)})"
-    if isinstance(c, Nominals):
-        return f"oneof({', '.join(u.name for u in c.members)})"
-    raise TypeError(f"not a concept expression: {c!r}")
-
-
-def role_text(r: RoleExpr) -> str:
-    if isinstance(r, RoleAtom):
-        return r.term.name
-    if isinstance(r, RoleUnion):
-        return f"ror({role_text(r.left)}, {role_text(r.right)})"
-    if isinstance(r, RoleIntersection):
-        return f"rand({role_text(r.left)}, {role_text(r.right)})"
-    if isinstance(r, RoleNeg):
-        return f"rnot({role_text(r.sub)})"
-    if isinstance(r, Inverse):
-        return f"inv({role_text(r.sub)})"
-    if isinstance(r, Compose):
-        return f"comp({role_text(r.left)}, {role_text(r.right)})"
-    if isinstance(r, Closure):
-        return f"closure({role_text(r.sub)})"
-    if isinstance(r, Product):
-        return f"product({concept_text(r.left)}, {concept_text(r.right)})"
-    raise TypeError(f"not a role expression: {r!r}")
+    if isinstance(e, TopCtx):
+        return f"ctxtop[{e.ctx_id}]"
+    if isinstance(e, Nominals):
+        return f"oneof({', '.join(_name(u) for u in e.members)})"
+    try:
+        keyword, sorts = _FORM_OF[type(e)]
+    except KeyError:
+        raise TypeError(f"not an expression: {e!r}") from None
+    args = [expr_text(c) for c in children(e)]
+    if sorts[0] == "n":  # the cardinality bound, the one number argument, comes first
+        args.insert(0, str(e.bound))
+    return f"{keyword}({', '.join(args)})"
 
 
 def axiom_text(ax: Axiom) -> str:
     if isinstance(ax, ConceptSub):
-        return f"{concept_text(ax.left)} sub {concept_text(ax.right)}"
+        return f"{expr_text(ax.left)} sub {expr_text(ax.right)}"
     if isinstance(ax, RoleSub):
-        return f"{role_text(ax.left)} rsub {role_text(ax.right)}"
+        return f"{expr_text(ax.left)} rsub {expr_text(ax.right)}"
     if isinstance(ax, ConceptAssert):
-        return f"{concept_text(ax.concept)}({ax.individual.name})"
+        return f"{expr_text(ax.concept)}({_name(ax.individual)})"
     if isinstance(ax, RoleAssert):
-        return f"{role_text(ax.role)}({ax.subject.name}, {ax.object.name})"
+        return f"{expr_text(ax.role)}({_name(ax.subject)}, {_name(ax.object)})"
     raise TypeError(f"not an axiom: {ax!r}")
 
 
@@ -575,7 +543,7 @@ def _ontology_lines(name: str, onto: Ontology) -> list[str]:
 
 
 def _annotation_lines(ca: ContextualAnnotation) -> list[str]:
-    lines = [f"annotation {ca.ctx_id} anchor {ca.anchor.name} {{"]
+    lines = [f"annotation {ca.ctx_id} anchor {_name(ca.anchor)} {{"]
     lines.extend(f"  {axiom_text(ax)} ." for ax in ca.abox)
     lines.append("}")
     return lines
@@ -584,11 +552,11 @@ def _annotation_lines(ca: ContextualAnnotation) -> list[str]:
 def _model_lines(name: str, interp: Interpretation) -> list[str]:
     lines = [f"model {name} {{", f"  domain {interp.size} ."]
     for t in sorted(interp.indiv, key=Term.sort_key):
-        lines.append(f"  indiv {t.name} = {interp.indiv[t]} .")
+        lines.append(f"  indiv {_name(t)} = {interp.indiv[t]} .")
     for t in sorted(interp.conc, key=Term.sort_key):
-        lines.append(f"  conc {t.name} = {_element_set_text(interp.conc[t])} .")
+        lines.append(f"  conc {_name(t)} = {_element_set_text(interp.conc[t])} .")
     for t in sorted(interp.role, key=Term.sort_key):
-        lines.append(f"  role {t.name} = {_pair_set_text(interp.role[t])} .")
+        lines.append(f"  role {_name(t)} = {_pair_set_text(interp.role[t])} .")
     for cid in sorted(interp.top_ctx):
         lines.append(f"  ctxtop {cid} = {_element_set_text(interp.top_ctx[cid])} .")
     lines.append("}")

@@ -25,6 +25,7 @@ from ctxdl.core import (
     TermKind,
     Top,
     TopCtx,
+    children,
     map_children,
     own_terms,
     signature_of,
@@ -162,3 +163,13 @@ def test_table_rejects_unknown_values(value):
         own_terms(value)
     with pytest.raises(TypeError):
         map_children(value, lambda x: x, lambda t: t)
+
+
+def test_children_are_the_sub_expressions_in_field_order():
+    r, c = RoleAtom(Term.nc("R")), ConceptAtom(Term.nc("C"))
+    assert children(AtMost(2, r, c)) == (r, c)
+    assert children(ConceptSub(c, Exists(r, c))) == (c, Exists(r, c))
+    assert children(ConceptAssert(c, Term.nc("a"))) == (c,)
+    assert children(c) == () and children(Nominals((Term.nc("a"),))) == ()
+    with pytest.raises(TypeError):
+        children(Term.nc("C"))

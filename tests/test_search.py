@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -14,19 +15,27 @@ from ctxdl.annotation import AnnotatedOntology, validate_annotation
 from ctxdl.core import (
     AtLeast,
     AtMost,
+    Bottom,
     Closure,
     Compose,
     ConceptAssert,
     ConceptAtom,
+    ConceptExpr,
+    ConceptSub,
     Inverse,
     Nominals,
     Ontology,
     Product,
     RoleAssert,
     RoleAtom,
+    RoleExpr,
     Term,
+    Top,
+    TopCtx,
+    children,
 )
 from ctxdl.search import (
+    _MASK_RULES,
     CONC,
     IND,
     ROLE,
@@ -216,6 +225,58 @@ class TestMaskKernel:
         assert {Closure, AtMost, AtLeast, Inverse, Compose, Product, Nominals} <= seen
 
 
+LEAVES = {Top, Bottom, TopCtx, ConceptAtom, RoleAtom, Nominals}
+COMPOUND = (set(typing.get_args(ConceptExpr)) | set(typing.get_args(RoleExpr))) - LEAVES
+
+
+class TestMaskRules:
+    """One mask rule per compound constructor drives both evaluators."""
+
+    def test_every_compound_constructor_has_a_rule_per_child(self):
+        assert set(_MASK_RULES) == COMPOUND
+        sample = {int: 1, ConceptExpr: ConceptAtom(Term.nc("C")), RoleExpr: RoleAtom(Term.nc("R"))}
+        for ctor, (_, monotone) in _MASK_RULES.items():
+            node = ctor(*(sample[hint] for hint in typing.get_type_hints(ctor).values()))
+            assert len(monotone) == len(children(node)), ctor
+
+    @pytest.mark.parametrize("value", [Term.nc("C"), ConceptSub(Top(), Top()),
+                                       RoleAssert(RoleAtom(Term.nc("R")), Term.nc("a"), Term.nc("b"))])
+    def test_evaluators_reject_non_expressions(self, value):
+        with pytest.raises(TypeError):
+            _exact(value, {}, True)
+        with pytest.raises(TypeError):
+            _interval(value, {}, True)
+
+    def test_interval_brackets_every_completion_for_every_constructor(self):
+        # Seeded, so every compound constructor is generated, which pins
+        # each monotonicity flag: a wrong flag swaps a bound and breaks the
+        # bracketing for some draw.
+        rng = random.Random(31)
+        terms = term_pool(3)
+        seen = set()
+        for index in range(400):
+            reflexive = index % 2 == 0
+            options = EvalOptions(reflexive_closure=reflexive)
+            size = rng.randint(1, 3)
+            full = random_interpretation(rng, terms, size)
+            exposed = {(aspect, t) for t in terms for aspect in (IND, CONC, ROLE) if rng.random() < 0.5}
+            if rng.random() < 0.5:
+                exposed.add((TOPCTX, "CX"))
+            concept = random_concept(rng, terms, rng.randint(1, 3))
+            role = random_role(rng, terms, rng.randint(1, 3))
+            slots = {}
+            concept_ival = _interval(concept, slots, reflexive)
+            role_ival = _interval(role, slots, reflexive)
+            vals, dom = encode(full, slots, exposed), _Domain(size)
+            clo, chi = concept_ival(vals, dom)
+            rlo, rhi = role_ival(vals, dom)
+            assert _decode_set(clo) <= eval_concept(concept, full, options) <= _decode_set(chi)
+            assert _decode_pairs(rlo, size) <= eval_role(role, full, options) <= _decode_pairs(rhi, size)
+            node_types(concept, seen)
+            node_types(role, seen)
+        assert COMPOUND <= seen
+
+
 def subsets_between(lower, free):
     """The frozenset enumeration the mask kernel replaced: `lower` plus each
     subset of the sorted list `free`, bit j of a counter selecting free[j]."""
@@ -328,14 +389,18 @@ class TestSearchTree:
 WITNESS_OF_SAME_NAME_TERMS = """
 from ctxdl.core import ConceptAssert, ConceptAtom, ConceptNeg, ConceptSub, ConceptUnion, Ontology, Term
 from ctxdl.search import find_model
-from ctxdl.textio import serialize
 
 plain, contextual = ConceptAtom(Term.nc("A")), ConceptAtom(Term.ctx("A"))
 onto = Ontology([
     ConceptSub(plain, ConceptNeg(contextual)),
     ConceptAssert(ConceptUnion(plain, contextual), Term.nc("x")),
 ])
-print(serialize(find_model(onto, 2).model, "witness"), end="")
+model = find_model(onto, 2).model
+print("domain", model.size)
+for aspect, table in (("indiv", model.indiv), ("conc", model.conc), ("role", model.role)):
+    for t in sorted(table, key=Term.sort_key):
+        value = table[t] if aspect == "indiv" else sorted(table[t])
+        print(aspect, t.name, t.kind.value, value)
 """
 
 

@@ -1,4 +1,5 @@
 import random
+import typing
 
 import pytest
 
@@ -7,25 +8,31 @@ from ctxdl.core import (
     Bottom,
     ConceptAssert,
     ConceptAtom,
+    ConceptExpr,
     ConceptIntersection,
     ConceptSub,
     Exists,
     Forall,
     Inverse,
+    Nominals,
     Ontology,
     RoleAssert,
     RoleAtom,
+    RoleExpr,
     Term,
     TermKind,
     Top,
+    TopCtx,
 )
 from ctxdl.semantics import Interpretation
 from ctxdl.textio import (
+    _FORMS,
     Block,
     BlockKind,
     ParseError,
     SourceDocument,
     axiom_text,
+    expr_text,
     parse,
     serialize,
 )
@@ -186,3 +193,53 @@ class TestRoundTrip:
             if parse(text) != doc:
                 failures += 1
         assert failures == 0
+
+
+class TestKeywordTable:
+    def test_forms_and_leaves_cover_exactly_the_expression_types(self):
+        forms = {ctor for ctor, _ in _FORMS.values()}
+        leaves = {Top, Bottom, TopCtx, ConceptAtom, RoleAtom, Nominals}
+        assert len(forms) == len(_FORMS)
+        assert not forms & leaves
+        assert forms | leaves == set(typing.get_args(ConceptExpr)) | set(typing.get_args(RoleExpr))
+
+    def test_sorts_follow_the_dataclass_fields(self):
+        sort_of = {int: "n", ConceptExpr: "c", RoleExpr: "r"}
+        for keyword, (ctor, sorts) in _FORMS.items():
+            hints = typing.get_type_hints(ctor)
+            assert sorts == "".join(sort_of[hints[f]] for f in ctor.__dataclass_fields__), keyword
+
+    def test_non_expressions_are_rejected(self):
+        with pytest.raises(TypeError):
+            expr_text(nc("C"))
+        with pytest.raises(TypeError):
+            expr_text(cassert("C", "a"))
+
+
+UNPRINTABLE_TERMS = [Term.ctx("A"), nc("a@b"), nc("a-b"), nc("top")]
+
+
+class TestUnprintableTerms:
+    """A term whose name would parse back as a different term, or not at
+    all, is refused with its name rather than written ambiguously."""
+
+    @pytest.mark.parametrize("term", UNPRINTABLE_TERMS, ids=lambda t: f"{t.kind.name}-{t.name}")
+    def test_in_an_ontology(self, term):
+        onto = Ontology([ConceptAssert(ConceptAtom(nc("C")), term)])
+        with pytest.raises(ValueError, match=term.name):
+            serialize(onto)
+        with pytest.raises(ValueError, match=term.name):
+            serialize(Ontology([RoleAssert(RoleAtom(term), nc("a"), nc("b"))]))
+
+    @pytest.mark.parametrize("term", UNPRINTABLE_TERMS, ids=lambda t: f"{t.kind.name}-{t.name}")
+    def test_in_a_model(self, term):
+        with pytest.raises(ValueError, match=term.name):
+            serialize(Interpretation(1, {term: 0}), "m")
+        with pytest.raises(ValueError, match=term.name):
+            serialize(Interpretation(1, {}, {term: frozenset({0})}), "m")
+
+    def test_terms_whose_shape_gives_their_kind_print(self):
+        terms = [nc("A"), Term.ctx("A@C"), Term.anchor("ctx@C"), Term.anchor("st@C@ff00"), nc("capital#1")]
+        interp = Interpretation(1, {t: 0 for t in terms}, {t: frozenset({0}) for t in terms})
+        [model] = parse(serialize(interp, "m")).models()
+        assert model == interp
