@@ -3,8 +3,7 @@
     python3 scripts/search_fingerprint.py CHECKOUT OUT.jsonl
 
 Runs every cell of the benchmark's ``refute`` and ``witness`` workloads
-(seeds 1 and 2) and 1500 random ontologies (``find_model`` with and without
-symmetry breaking, under the transitive-only closure option, and
+(seeds 1 and 2) and 1500 random ontologies (``find_model`` and
 ``check_entailment``) against the library in ``CHECKOUT/src``, and writes one
 JSON line per call: the verdicts, the serialized witnesses, and the number
 of candidates each search call tried (or where it ran out of budget).
@@ -96,15 +95,12 @@ def main(checkout: Path, out_path: Path) -> None:
                         emit(f"{workload}/{seed}/{cell.id}", cell.run)
 
         ontology_of = mods.core.Ontology
-        transitive = sem.EvalOptions(reflexive_closure=False)
         rng = random.Random(99)
         for i in range(1500):
             terms = term_pool(rng.randint(1, 3))
             o1 = ontology_of([random_axiom(rng, terms, rng.randint(0, 2)) for _ in range(rng.randint(1, 4))])
             o2 = ontology_of([random_axiom(rng, terms, rng.randint(0, 2)) for _ in range(rng.randint(1, 2))])
             emit(f"random/{i}/model", lambda: search.find_model(o1, 3, budget=3000))
-            emit(f"random/{i}/symmetry", lambda: search.find_model(o1, 3, budget=3000, symmetry_breaking=True))
-            emit(f"random/{i}/transitive", lambda: search.find_model(o1, 2, budget=3000, options=transitive))
             emit(f"random/{i}/entailment", lambda: search.check_entailment(o1, o2, 3, budget=3000))
 
         strategies, annotation = mods.strategies, mods.annotation

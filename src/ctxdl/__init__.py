@@ -52,14 +52,12 @@ from .core import (
 from .relativize import (
     AlreadyRelativizedError,
     ContextualTermInSignatureError,
-    relativize_concept,
+    relativize_axiom,
     relativize_ontology,
-    relativize_role,
 )
 from .search import DEFAULT_BUDGET, check_entailment, find_model
 from .semantics import (
     BoundTooLargeError,
-    EvalOptions,
     Interpretation,
     NoCounterexampleUpTo,
     NoModelUpTo,

@@ -111,7 +111,6 @@ def validate_annotation(
     anchor: Term,
     abox: Iterable[Axiom],
     ctx_id: str | None = None,
-    extended: bool = False,
 ) -> ContextualAnnotation:
     """Check the annotation shape and connectivity, then build the value.
 
@@ -121,17 +120,16 @@ def validate_annotation(
     witness connectivity themselves (they never occur as individuals), which
     is why they are checked through their host assertions.
 
-    With `extended` unset, assertions must use atomic concepts and roles.
+    Assertions must use atomic concepts and roles.
     """
     axioms = tuple(abox)
     for ax in axioms:
         if not isinstance(ax, ABOX_FORMS):
             raise NotAnABoxError(ax)
-        if not extended:
-            if isinstance(ax, ConceptAssert) and not isinstance(ax.concept, ConceptAtom):
-                raise NotAnABoxError(ax)
-            if isinstance(ax, RoleAssert) and not isinstance(ax.role, RoleAtom):
-                raise NotAnABoxError(ax)
+        if isinstance(ax, ConceptAssert) and not isinstance(ax.concept, ConceptAtom):
+            raise NotAnABoxError(ax)
+        if isinstance(ax, RoleAssert) and not isinstance(ax.role, RoleAtom):
+            raise NotAnABoxError(ax)
 
     roots = _components(axioms)
     anchor_root = roots.get(anchor)

@@ -29,7 +29,7 @@ from .semantics import (
     SatisfiableAt,
 )
 from .strategies import Strategy, combine_contexts, contextualize
-from .textio import ParseError, parse, serialize
+from .textio import ParseError, UnprintableTermError, parse, serialize
 from .verify import (
     Outcome,
     PremiseNotEntailedError,
@@ -58,9 +58,9 @@ def _bound(text: str) -> int:
 
 def _strategy(text: str) -> Strategy:
     try:
-        return Strategy.from_cli_name(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        return Strategy(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"unknown strategy {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +309,10 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ParseError, AnnotationError, OSError, PremiseNotEntailedError, BoundTooLargeError) as exc:
+    except (
+        CliError, ParseError, UnprintableTermError, AnnotationError, OSError, PremiseNotEntailedError,
+        BoundTooLargeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -180,7 +180,8 @@ class Compose:
 
 @dataclass(frozen=True)
 class Closure:
-    """Reflexive-transitive closure by default; see semantics.EvalOptions."""
+    """Reflexive-transitive closure: the identity on the domain plus every
+    finite composition of the role with itself."""
 
     sub: "RoleExpr"
 

@@ -79,9 +79,6 @@ def relativize_axiom(x: Expr, ctx_id: str) -> Expr:
     return relativize(x)
 
 
-relativize_concept = relativize_role = relativize_axiom
-
-
 def membership_axioms(term: Term, ctx_id: str) -> list[Axiom]:
     """The four per-term axioms confining a term's denotations to the top.
 

@@ -73,9 +73,7 @@ from .core import (
     walk,
 )
 from .semantics import (  # noqa: F401  eval_*/satisfies: re-exported replay evaluator
-    DEFAULT_OPTIONS,
     BoundTooLargeError,
-    EvalOptions,
     Interpretation,
     NoCounterexampleUpTo,
     NoModelUpTo,
@@ -203,8 +201,8 @@ def _compose(left: int, right: int, d: _Domain) -> int:
     return out
 
 
-def _closure(rel: int, d: _Domain, reflexive: bool) -> int:
-    """Transitive (Warshall) closure, plus the diagonal when `reflexive`."""
+def _closure(rel: int, d: _Domain) -> int:
+    """Reflexive-transitive closure: Warshall's, plus the diagonal."""
     n, full = d.n, d.full
     rows = [rel >> x * n & full for x in range(n)]
     for k in range(n):
@@ -214,7 +212,7 @@ def _closure(rel: int, d: _Domain, reflexive: bool) -> int:
                 rows[x] |= row_k
     out = 0
     for x, row in enumerate(rows):
-        out |= (row | 1 << x if reflexive else row) << x * n
+        out |= (row | 1 << x) << x * n
     return out
 
 
@@ -269,11 +267,11 @@ Interval = Callable[[Vals, _Domain], tuple[int, int]]
 
 
 def _fixed(op: Callable) -> Callable:
-    return lambda e, reflexive: op
+    return lambda e: op
 
 
 # Per compound constructor: the maker of its mask operation, which takes the
-# node and the closure option and returns `op(*child values, domain)`, and
+# node and returns `op(*child values, domain)`, and
 # per child, in `children` order, whether `op` is monotone (True) or
 # antitone (False) in it.
 _MASK_RULES: dict[type, tuple[Callable, tuple[bool, ...]]] = {
@@ -282,27 +280,27 @@ _MASK_RULES: dict[type, tuple[Callable, tuple[bool, ...]]] = {
     ConceptNeg: (_fixed(lambda a, d: d.full ^ a), (False,)),
     Exists: (_fixed(_exists), (True, True)),
     Forall: (_fixed(_forall), (False, True)),
-    AtMost: (lambda e, reflexive: lambda r, c, d: _at_most(r, c, e.bound, d), (False, False)),
-    AtLeast: (lambda e, reflexive: lambda r, c, d: d.full ^ _at_most(r, c, e.bound - 1, d), (True, True)),
+    AtMost: (lambda e: lambda r, c, d: _at_most(r, c, e.bound, d), (False, False)),
+    AtLeast: (lambda e: lambda r, c, d: d.full ^ _at_most(r, c, e.bound - 1, d), (True, True)),
     RoleUnion: (_fixed(lambda a, b, d: a | b), (True, True)),
     RoleIntersection: (_fixed(lambda a, b, d: a & b), (True, True)),
     RoleNeg: (_fixed(lambda a, d: d.pairs ^ a), (False,)),
     Inverse: (_fixed(_inverse), (True,)),
     Compose: (_fixed(_compose), (True, True)),
-    Closure: (lambda e, reflexive: lambda r, d: _closure(r, d, reflexive), (True,)),
+    Closure: (_fixed(_closure), (True,)),
     Product: (_fixed(_product), (True, True)),
 }
 
 
-def _mask_rule(e, reflexive: bool) -> tuple[Callable, tuple[bool, ...]]:
+def _mask_rule(e) -> tuple[Callable, tuple[bool, ...]]:
     try:
         make, monotone = _MASK_RULES[type(e)]
     except KeyError:
         raise TypeError(f"not an expression: {e!r}") from None
-    return make(e, reflexive), monotone
+    return make(e), monotone
 
 
-def _exact(e, slots: Slots, reflexive: bool) -> Exact:
+def _exact(e, slots: Slots) -> Exact:
     comp = _atom_comp(e)
     if comp is not None:
         s = _slot(slots, comp)
@@ -321,8 +319,8 @@ def _exact(e, slots: Slots, reflexive: bool) -> Exact:
             return out
 
         return nominals
-    op, _ = _mask_rule(e, reflexive)
-    fs = [_exact(c, slots, reflexive) for c in children(e)]
+    op, _ = _mask_rule(e)
+    fs = [_exact(c, slots) for c in children(e)]
     if len(fs) == 1:
         (f,) = fs
         return lambda v, d: op(f(v, d), d)
@@ -330,7 +328,7 @@ def _exact(e, slots: Slots, reflexive: bool) -> Exact:
     return lambda v, d: op(f(v, d), g(v, d), d)
 
 
-def _interval(e, slots: Slots, reflexive: bool) -> Interval:
+def _interval(e, slots: Slots) -> Interval:
     comp = _atom_comp(e)
     if comp is not None:
         s, role = _slot(slots, comp), comp[0] == ROLE
@@ -363,8 +361,8 @@ def _interval(e, slots: Slots, reflexive: bool) -> Interval:
     # The operation on the bounds: a child's lower bound gives the lower
     # result where the operation is monotone in it, its upper bound where
     # antitone.
-    op, monotone = _mask_rule(e, reflexive)
-    fs = [_interval(c, slots, reflexive) for c in children(e)]
+    op, monotone = _mask_rule(e)
+    fs = [_interval(c, slots) for c in children(e)]
     if len(fs) == 1:
         (f,) = fs
         i = 0 if monotone[0] else 1
@@ -384,26 +382,26 @@ def _interval(e, slots: Slots, reflexive: bool) -> Interval:
     return binary
 
 
-def _compile_holds(ax: Axiom, slots: Slots, reflexive: bool) -> Callable[[Vals, _Domain], bool]:
+def _compile_holds(ax: Axiom, slots: Slots) -> Callable[[Vals, _Domain], bool]:
     """Whether the axiom holds under a total assignment of its components."""
     if isinstance(ax, (ConceptSub, RoleSub)):
-        f, g = _exact(ax.left, slots, reflexive), _exact(ax.right, slots, reflexive)
+        f, g = _exact(ax.left, slots), _exact(ax.right, slots)
         return lambda v, d: not f(v, d) & ~g(v, d)
     if isinstance(ax, ConceptAssert):
-        c, s = _exact(ax.concept, slots, reflexive), _slot(slots, (IND, ax.individual))
+        c, s = _exact(ax.concept, slots), _slot(slots, (IND, ax.individual))
         return lambda v, d: c(v, d) >> v[s] & 1 == 1
     if isinstance(ax, RoleAssert):
-        r = _exact(ax.role, slots, reflexive)
+        r = _exact(ax.role, slots)
         s, o = _slot(slots, (IND, ax.subject)), _slot(slots, (IND, ax.object))
         return lambda v, d: r(v, d) >> v[s] * d.n + v[o] & 1 == 1
     raise TypeError(f"not an axiom: {ax!r}")
 
 
-def _compile_decide(ax: Axiom, slots: Slots, reflexive: bool) -> Callable[[Vals, _Domain], Optional[bool]]:
+def _compile_decide(ax: Axiom, slots: Slots) -> Callable[[Vals, _Domain], Optional[bool]]:
     """True / False when the axiom is settled under every completion of the
     partial assignment; None when still open."""
     if isinstance(ax, (ConceptSub, RoleSub)):
-        f, g = _interval(ax.left, slots, reflexive), _interval(ax.right, slots, reflexive)
+        f, g = _interval(ax.left, slots), _interval(ax.right, slots)
 
         def decide_sub(v, d):
             (llo, lhi), (rlo, rhi) = f(v, d), g(v, d)
@@ -415,7 +413,7 @@ def _compile_decide(ax: Axiom, slots: Slots, reflexive: bool) -> Callable[[Vals,
 
         return decide_sub
     if isinstance(ax, ConceptAssert):
-        c, s = _interval(ax.concept, slots, reflexive), _slot(slots, (IND, ax.individual))
+        c, s = _interval(ax.concept, slots), _slot(slots, (IND, ax.individual))
 
         def decide_member(v, d):
             e = v[s]
@@ -430,7 +428,7 @@ def _compile_decide(ax: Axiom, slots: Slots, reflexive: bool) -> Callable[[Vals,
 
         return decide_member
     if isinstance(ax, RoleAssert):
-        r = _interval(ax.role, slots, reflexive)
+        r = _interval(ax.role, slots)
         s, o = _slot(slots, (IND, ax.subject)), _slot(slots, (IND, ax.object))
 
         def decide_pair(v, d):
@@ -458,20 +456,19 @@ class _Constraint:
     """An axiom required to hold (positive) or to fail, compiled over slots on
     first use. `comps` holds the slots of the components it reads."""
 
-    def __init__(self, axiom: Axiom, positive: bool, slots: Slots, reflexive: bool):
+    def __init__(self, axiom: Axiom, positive: bool, slots: Slots):
         self.axiom = axiom
         self.positive = positive
         self.comps = frozenset(_slot(slots, comp) for comp in _comps(axiom))
         self.slots = slots
-        self.reflexive = reflexive
 
     @cached_property
     def holds(self) -> Callable[[Vals, _Domain], bool]:
-        return _compile_holds(self.axiom, self.slots, self.reflexive)
+        return _compile_holds(self.axiom, self.slots)
 
     @cached_property
     def decide(self) -> Callable[[Vals, _Domain], Optional[bool]]:
-        return _compile_decide(self.axiom, self.slots, self.reflexive)
+        return _compile_decide(self.axiom, self.slots)
 
 
 Bound = Callable[[Vals, _Domain], int]
@@ -481,7 +478,7 @@ def _producer(con: _Constraint, target: CompKey) -> Optional[tuple[str, Bound]]:
     """`con` consumed as a bound on `target` once its other components are
     assigned: the kind, "L" (forced members), "U" (allowed members) or "X"
     (excluded members), and the closure giving the bound's mask."""
-    ax, slots, reflexive = con.axiom, con.slots, con.reflexive
+    ax, slots = con.axiom, con.slots
     if isinstance(ax, RoleAssert):
         if _atom_comp(ax.role) == target:
             s, o = slots[(IND, ax.subject)], slots[(IND, ax.object)]
@@ -496,16 +493,16 @@ def _producer(con: _Constraint, target: CompKey) -> Optional[tuple[str, Bound]]:
         return None
     left, right = ax.left, ax.right
     if _atom_comp(left) == target and target not in _comps(right):
-        return "U", _exact(right, slots, reflexive)
+        return "U", _exact(right, slots)
     if _atom_comp(right) == target and target not in _comps(left):
-        return "L", _exact(left, slots, reflexive)
+        return "L", _exact(left, slots)
     if (
         isinstance(left, Exists)
         and isinstance(left.concept, Top)
         and _atom_comp(left.role) == target
         and target not in _comps(right)
     ):
-        domain = _exact(right, slots, reflexive)  # domain of role within rhs
+        domain = _exact(right, slots)  # domain of role within rhs
         return "U", lambda v, d: _product(domain(v, d), d.full, d)
     if (
         isinstance(left, Top)
@@ -513,7 +510,7 @@ def _producer(con: _Constraint, target: CompKey) -> Optional[tuple[str, Bound]]:
         and _atom_comp(right.role) == target
         and target not in _comps(right.concept)
     ):
-        filler = _exact(right.concept, slots, reflexive)  # range of role within filler
+        filler = _exact(right.concept, slots)  # range of role within filler
         return "U", lambda v, d: _product(d.full, filler(v, d), d)
     return None
 
@@ -550,7 +547,6 @@ class _Plan:
     # (decide, not positive, positions of the constraint's earlier components)
     watch_at: list[list[tuple[Callable, bool, int]]]
     determined: list[bool]
-    first_ind: Optional[int]
 
 
 def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: Sequence[CompKey]) -> _Plan:
@@ -604,11 +600,10 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
                 determined[j] = False
 
     aspects = [keys[c][0] for c in order]
-    first_ind = aspects.index(IND) if IND in aspects else None
-    return _Plan(order, aspects, producers_at, checks_at, watch_at, determined, first_ind)
+    return _Plan(order, aspects, producers_at, checks_at, watch_at, determined)
 
 
-def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget, symmetry: bool) -> Optional[int]:
+def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Optional[int]:
     """Fill `vals` with a satisfying assignment for this group, or return the
     conflict set (a mask of positions) of an exhausted search. None means
     success.
@@ -628,7 +623,7 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget, symmetry:
         returned: Optional[int] = None
         producer_positions = 0
         if aspects[i] == IND:
-            candidates: Iterator = iter((0,) if symmetry and i == plan.first_ind else range(d.n))
+            candidates: Iterator = iter(range(d.n))
         else:
             lower, upper = 0, (d.pairs if aspects[i] == ROLE else d.full)
             for kind, bound, others in plan.producers_at[i]:
@@ -755,16 +750,14 @@ def _prepare(constraints: list[_Constraint], slots: Slots) -> _Problem:
     )
 
 
-def _solve_at_size(
-    problem: _Problem, slots: Slots, n: int, budget: _Budget, symmetry: bool
-) -> Optional[Vals]:
+def _solve_at_size(problem: _Problem, slots: Slots, n: int, budget: _Budget) -> Optional[Vals]:
     d = _Domain(n)
     vals: Vals = [None] * len(slots)
     for con in problem.ground:
         if con.holds(vals, d) is not con.positive:
             return None
     for plan in problem.plans:
-        if _solve_group(plan, d, vals, budget, symmetry) is not None:
+        if _solve_group(plan, d, vals, budget) is not None:
             return None
     return vals
 
@@ -807,18 +800,7 @@ def _build_interpretation(
     )
 
 
-def _resolve_budget(budget: Optional[int]) -> int:
-    return DEFAULT_BUDGET if budget is None else budget
-
-
-def find_model(
-    ontology: Ontology,
-    max_size: int,
-    *,
-    budget: Optional[int] = None,
-    symmetry_breaking: bool = False,
-    options: EvalOptions = DEFAULT_OPTIONS,
-):
+def find_model(ontology: Ontology, max_size: int, *, budget: Optional[int] = None):
     """Smallest-domain model of the ontology within the bound, if any.
 
     Complete up to the bound: a NoModelUpTo(n) verdict guarantees that no
@@ -827,28 +809,19 @@ def find_model(
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    tracker = _Budget(_resolve_budget(budget))
+    tracker = _Budget(DEFAULT_BUDGET if budget is None else budget)
     slots: Slots = {}
-    reflexive = options.reflexive_closure
-    problem = _prepare([_Constraint(ax, True, slots, reflexive) for ax in ontology.axioms], slots)
+    problem = _prepare([_Constraint(ax, True, slots) for ax in ontology.axioms], slots)
     ctx_ids = _collect_ctx_ids(ontology)
     for n in range(1, max_size + 1):
-        vals = _solve_at_size(problem, slots, n, tracker, symmetry_breaking)
+        vals = _solve_at_size(problem, slots, n, tracker)
         if vals is not None:
             interp = _build_interpretation(vals, slots, n, set(ontology.signature), ctx_ids)
             return SatisfiableAt(interp, n)
     return NoModelUpTo(max_size)
 
 
-def check_entailment(
-    premise: Ontology,
-    conclusion: Ontology,
-    max_size: int,
-    *,
-    budget: Optional[int] = None,
-    symmetry_breaking: bool = False,
-    options: EvalOptions = DEFAULT_OPTIONS,
-):
+def check_entailment(premise: Ontology, conclusion: Ontology, max_size: int, *, budget: Optional[int] = None):
     """Search for a model of `premise` violating some axiom of `conclusion`.
 
     Interpretations range over the union of both signatures. Complete up to
@@ -857,22 +830,21 @@ def check_entailment(
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    tracker = _Budget(_resolve_budget(budget))
+    tracker = _Budget(DEFAULT_BUDGET if budget is None else budget)
     premise_axioms = set(premise.axioms)
     targets = [ax for ax in conclusion.axioms if ax not in premise_axioms]
     if not targets:
         return NoCounterexampleUpTo(max_size)
     slots: Slots = {}
-    reflexive = options.reflexive_closure
-    base = [_Constraint(ax, True, slots, reflexive) for ax in premise.axioms]
+    base = [_Constraint(ax, True, slots) for ax in premise.axioms]
     problems: list[Optional[_Problem]] = [None] * len(targets)  # planned on first use
     all_terms = set(premise.signature) | set(conclusion.signature)
     ctx_ids = _collect_ctx_ids(premise, conclusion)
     for n in range(1, max_size + 1):
         for k, target in enumerate(targets):
             if problems[k] is None:
-                problems[k] = _prepare(base + [_Constraint(target, False, slots, reflexive)], slots)
-            vals = _solve_at_size(problems[k], slots, n, tracker, symmetry_breaking)
+                problems[k] = _prepare(base + [_Constraint(target, False, slots)], slots)
+            vals = _solve_at_size(problems[k], slots, n, tracker)
             if vals is not None:
                 interp = _build_interpretation(vals, slots, n, all_terms, ctx_ids)
                 return NotEntailed(interp)

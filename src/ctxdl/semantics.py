@@ -71,20 +71,6 @@ class BoundTooLargeError(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class EvalOptions:
-    """Evaluation switches.
-
-    `reflexive_closure` selects the closure semantics for Closure nodes:
-    reflexive-transitive (default) or plain transitive.
-    """
-
-    reflexive_closure: bool = True
-
-
-DEFAULT_OPTIONS = EvalOptions()
-
-
 @dataclass(frozen=True, eq=False)
 class Interpretation:
     size: int
@@ -188,9 +174,7 @@ Verdict = Union[SatisfiableAt, NoModelUpTo, NotEntailed, NoCounterexampleUpTo]
 # ---------------------------------------------------------------------------
 
 
-def eval_concept(
-    c: ConceptExpr, interp: Interpretation, options: EvalOptions = DEFAULT_OPTIONS
-) -> frozenset[int]:
+def eval_concept(c: ConceptExpr, interp: Interpretation) -> frozenset[int]:
     """The subset of the domain denoted by a concept expression."""
     if isinstance(c, Top):
         return interp.domain
@@ -201,24 +185,24 @@ def eval_concept(
     if isinstance(c, ConceptAtom):
         return interp.concept(c.term)
     if isinstance(c, ConceptUnion):
-        return eval_concept(c.left, interp, options) | eval_concept(c.right, interp, options)
+        return eval_concept(c.left, interp) | eval_concept(c.right, interp)
     if isinstance(c, ConceptIntersection):
-        return eval_concept(c.left, interp, options) & eval_concept(c.right, interp, options)
+        return eval_concept(c.left, interp) & eval_concept(c.right, interp)
     if isinstance(c, ConceptNeg):
-        return interp.domain - eval_concept(c.sub, interp, options)
+        return interp.domain - eval_concept(c.sub, interp)
     if isinstance(c, Exists):
-        rel = eval_role(c.role, interp, options)
-        inner = eval_concept(c.concept, interp, options)
+        rel = eval_role(c.role, interp)
+        inner = eval_concept(c.concept, interp)
         return frozenset(x for x, y in rel if y in inner)
     if isinstance(c, Forall):
-        rel = eval_role(c.role, interp, options)
-        inner = eval_concept(c.concept, interp, options)
+        rel = eval_role(c.role, interp)
+        inner = eval_concept(c.concept, interp)
         return frozenset(
             x for x in interp.domain if all(y in inner for (x2, y) in rel if x2 == x)
         )
     if isinstance(c, (AtMost, AtLeast)):
-        rel = eval_role(c.role, interp, options)
-        inner = eval_concept(c.concept, interp, options)
+        rel = eval_role(c.role, interp)
+        inner = eval_concept(c.concept, interp)
         out = set()
         for x in interp.domain:
             count = sum(1 for (x2, y) in rel if x2 == x and y in inner)
@@ -230,44 +214,40 @@ def eval_concept(
     raise TypeError(f"not a concept expression: {c!r}")
 
 
-def eval_role(
-    r: RoleExpr, interp: Interpretation, options: EvalOptions = DEFAULT_OPTIONS
-) -> frozenset[Pair]:
+def eval_role(r: RoleExpr, interp: Interpretation) -> frozenset[Pair]:
     """The binary relation over the domain denoted by a role expression."""
     if isinstance(r, RoleAtom):
         return interp.relation(r.term)
     if isinstance(r, RoleUnion):
-        return eval_role(r.left, interp, options) | eval_role(r.right, interp, options)
+        return eval_role(r.left, interp) | eval_role(r.right, interp)
     if isinstance(r, RoleIntersection):
-        return eval_role(r.left, interp, options) & eval_role(r.right, interp, options)
+        return eval_role(r.left, interp) & eval_role(r.right, interp)
     if isinstance(r, RoleNeg):
         dom = interp.domain
         full = frozenset((x, y) for x in dom for y in dom)
-        return full - eval_role(r.sub, interp, options)
+        return full - eval_role(r.sub, interp)
     if isinstance(r, Inverse):
-        return frozenset((y, x) for x, y in eval_role(r.sub, interp, options))
+        return frozenset((y, x) for x, y in eval_role(r.sub, interp))
     if isinstance(r, Compose):
-        left = eval_role(r.left, interp, options)
-        right = eval_role(r.right, interp, options)
+        left = eval_role(r.left, interp)
+        right = eval_role(r.right, interp)
         by_source: dict[int, set[int]] = {}
         for z, y in right:
             by_source.setdefault(z, set()).add(y)
         return frozenset((x, y) for x, z in left for y in by_source.get(z, ()))
     if isinstance(r, Closure):
-        return _closure(eval_role(r.sub, interp, options), interp.domain, options)
+        return _closure(eval_role(r.sub, interp), interp.domain)
     if isinstance(r, Product):
-        left = eval_concept(r.left, interp, options)
-        right = eval_concept(r.right, interp, options)
+        left = eval_concept(r.left, interp)
+        right = eval_concept(r.right, interp)
         return frozenset((x, y) for x in left for y in right)
     raise TypeError(f"not a role expression: {r!r}")
 
 
-def _closure(rel: frozenset[Pair], domain: frozenset[int], options: EvalOptions) -> frozenset[Pair]:
-    # Fixpoint of one-step extension; reflexive pairs over the whole domain
-    # are included up front under the default semantics.
-    closed: set[Pair] = set(rel)
-    if options.reflexive_closure:
-        closed |= {(x, x) for x in domain}
+def _closure(rel: frozenset[Pair], domain: frozenset[int]) -> frozenset[Pair]:
+    # Fixpoint of one-step extension, starting from rel plus the reflexive
+    # pairs over the whole domain.
+    closed: set[Pair] = set(rel) | {(x, x) for x in domain}
     changed = True
     while changed:
         changed = False
@@ -282,22 +262,18 @@ def _closure(rel: frozenset[Pair], domain: frozenset[int], options: EvalOptions)
     return frozenset(closed)
 
 
-def satisfies(
-    interp: Interpretation, axiom: Axiom, options: EvalOptions = DEFAULT_OPTIONS
-) -> bool:
+def satisfies(interp: Interpretation, axiom: Axiom) -> bool:
     if isinstance(axiom, ConceptSub):
-        return eval_concept(axiom.left, interp, options) <= eval_concept(axiom.right, interp, options)
+        return eval_concept(axiom.left, interp) <= eval_concept(axiom.right, interp)
     if isinstance(axiom, RoleSub):
-        return eval_role(axiom.left, interp, options) <= eval_role(axiom.right, interp, options)
+        return eval_role(axiom.left, interp) <= eval_role(axiom.right, interp)
     if isinstance(axiom, ConceptAssert):
-        return interp.individual(axiom.individual) in eval_concept(axiom.concept, interp, options)
+        return interp.individual(axiom.individual) in eval_concept(axiom.concept, interp)
     if isinstance(axiom, RoleAssert):
         pair = (interp.individual(axiom.subject), interp.individual(axiom.object))
-        return pair in eval_role(axiom.role, interp, options)
+        return pair in eval_role(axiom.role, interp)
     raise TypeError(f"not an axiom: {axiom!r}")
 
 
-def is_model(
-    interp: Interpretation, ontology: Ontology, options: EvalOptions = DEFAULT_OPTIONS
-) -> bool:
-    return all(satisfies(interp, ax, options) for ax in ontology.axioms)
+def is_model(interp: Interpretation, ontology: Ontology) -> bool:
+    return all(satisfies(interp, ax) for ax in ontology.axioms)

@@ -67,19 +67,6 @@ class Strategy(Enum):
     NARY_CONCEPT_ANCHORED = "nary-concept"
     SINGLETON_PROPERTY = "singleton"
 
-    @classmethod
-    def from_cli_name(cls, name: str) -> "Strategy":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown strategy {name!r}")
-
-
-REIFICATION_STRATEGIES = frozenset(
-    {Strategy.RDF_REIFICATION, Strategy.NARY_TWO_ROLE, Strategy.NARY_CONCEPT_ANCHORED,
-     Strategy.SINGLETON_PROPERTY}
-)
-
 
 class SignatureOverlapWarning(UserWarning):
     def __init__(self, terms: frozenset[Term]):

@@ -10,7 +10,7 @@ token boundary, so derived names like `capital#1` lex as one identifier.
 Serialization is canonical: one axiom per line in insertion order, single
 spacing, sorted model denotations. Parsing a serialized document yields a
 structurally identical document; a term whose name would not parse back as
-that term is refused with a ValueError.
+that term is refused with an UnprintableTermError.
 """
 
 from __future__ import annotations
@@ -96,6 +96,16 @@ class ParseError(ValueError):
         self.col = col
         self.message = message
         self.expected = expected
+
+
+class UnprintableTermError(ValueError):
+    """A term whose name would not parse back as that term."""
+
+    def __init__(self, term: Term):
+        super().__init__(
+            f"term {term.name!r} of kind {term.kind.name} has no text form: it would not parse back as itself"
+        )
+        self.term = term
 
 
 def infer_kind(name: str) -> TermKind:
@@ -490,7 +500,7 @@ def _read_back(name: str) -> TermKind | None:
 def _name(t: Term) -> str:
     """`t`'s name, which must parse back as `t`."""
     if _read_back(t.name) is not t.kind:
-        raise ValueError(f"term {t.name!r} of kind {t.kind.name} has no text form: it would not parse back as itself")
+        raise UnprintableTermError(t)
     return t.name
 
 

@@ -5,7 +5,9 @@ preservation) are semantic claims about a contextualization strategy. Here
 they become bounded checks: every verdict is relative to the search bound,
 so a Holds outcome means "no violation up to the bound", never an unbounded
 claim. Violated outcomes always carry a replayable witness inside the
-conclusion verdict.
+conclusion verdict. The optional `budget` of each checker is the candidate
+budget of every search call it makes (see `find_model`); a search that
+exceeds it raises `BoundTooLargeError`.
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ def check_soundness(
     ontology: Ontology,
     ca: ContextualAnnotation,
     bound: int,
-    **search_kwargs,
+    *,
+    budget: Optional[int] = None,
 ) -> PropertyReport:
     """Consistent statement + consistent annotation must stay consistent.
 
@@ -118,14 +121,14 @@ def check_soundness(
     witness domains of the two premises may end up side by side in a model
     of the contextualization, so their sizes are added to the bound.
     """
-    v_onto = find_model(ontology, bound, **search_kwargs)
-    v_ca = find_model(ca.as_ontology(), bound, **search_kwargs)
+    v_onto = find_model(ontology, bound, budget=budget)
+    v_ca = find_model(ca.as_ontology(), bound, budget=budget)
     premises = (v_onto, v_ca)
     if isinstance(v_onto, NoModelUpTo) or isinstance(v_ca, NoModelUpTo):
         return PropertyReport(Property.SOUNDNESS, premises, None, Outcome.INCONCLUSIVE_AT_BOUND, bound)
     slack = v_onto.size + v_ca.size
     result = contextualize(strategy, AnnotatedOntology(ontology, ca))
-    v_out = find_model(result, bound + slack, **search_kwargs)
+    v_out = find_model(result, bound + slack, budget=budget)
     outcome = Outcome.HOLDS if isinstance(v_out, SatisfiableAt) else Outcome.VIOLATED
     return PropertyReport(Property.SOUNDNESS, premises, v_out, outcome, bound)
 
@@ -135,16 +138,17 @@ def check_inconsistency_preservation(
     ontology: Ontology,
     ca: ContextualAnnotation,
     bound: int,
-    **search_kwargs,
+    *,
+    budget: Optional[int] = None,
 ) -> PropertyReport:
     """An inconsistent statement ontology must stay inconsistent."""
-    v_onto = find_model(ontology, bound, **search_kwargs)
+    v_onto = find_model(ontology, bound, budget=budget)
     if isinstance(v_onto, SatisfiableAt):
         return PropertyReport(
             Property.INCONSISTENCY_PRESERVATION, (v_onto,), None, Outcome.INCONCLUSIVE_AT_BOUND, bound
         )
     result = contextualize(strategy, AnnotatedOntology(ontology, ca))
-    v_out = find_model(result, bound, **search_kwargs)
+    v_out = find_model(result, bound, budget=budget)
     outcome = Outcome.VIOLATED if isinstance(v_out, SatisfiableAt) else Outcome.HOLDS
     return PropertyReport(Property.INCONSISTENCY_PRESERVATION, (v_onto,), v_out, outcome, bound)
 
@@ -155,31 +159,32 @@ def check_entailment_preservation(
     conclusion: Ontology,
     ca: ContextualAnnotation,
     bound: int,
-    **search_kwargs,
+    *,
+    budget: Optional[int] = None,
 ) -> PropertyReport:
     """A bounded entailment between the originals must survive the rewrite."""
-    pre = check_entailment(premise, conclusion, bound, **search_kwargs)
+    pre = check_entailment(premise, conclusion, bound, budget=budget)
     if isinstance(pre, NotEntailed):
         raise PremiseNotEntailedError("premise entailment fails at the bound; nothing to preserve")
     f_premise = contextualize(strategy, AnnotatedOntology(premise, ca))
     f_conclusion = contextualize(strategy, AnnotatedOntology(conclusion, ca))
-    v_out = check_entailment(f_premise, f_conclusion, bound, **search_kwargs)
+    v_out = check_entailment(f_premise, f_conclusion, bound, budget=budget)
     outcome = Outcome.VIOLATED if isinstance(v_out, NotEntailed) else Outcome.HOLDS
     return PropertyReport(Property.ENTAILMENT_PRESERVATION, (pre,), v_out, outcome, bound)
 
 
 def probe_domain_extensibility(
-    ontology: Ontology, base_size: int, extra_elements: int = 1, **search_kwargs
+    ontology: Ontology, base_size: int, *, budget: Optional[int] = None
 ) -> ExtensibilityProbe:
-    """Find a model, enlarge its domain with fresh elements under unchanged
+    """Find a model, enlarge its domain with one fresh element under unchanged
     denotations, and re-check."""
-    if base_size < 1 or extra_elements < 1:
-        raise ValueError("base_size and extra_elements must be >= 1")
-    verdict = find_model(ontology, base_size, **search_kwargs)
+    if base_size < 1:
+        raise ValueError("base_size must be >= 1")
+    verdict = find_model(ontology, base_size, budget=budget)
     if isinstance(verdict, NoModelUpTo):
         return ExtensibilityProbe(ontology, base_size, ProbeResult.NO_MODEL_AT_BASE)
     model = verdict.model
-    extended = model.with_domain(model.size + extra_elements)
+    extended = model.with_domain(model.size + 1)
     if is_model(extended, ontology):
         return ExtensibilityProbe(ontology, base_size, ProbeResult.EXTENSIBLE_OBSERVED, model)
     return ExtensibilityProbe(ontology, base_size, ProbeResult.COUNTEREXAMPLE_FOUND, model)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctxdl.annotation import (
-    ContextualAnnotation,
     DisconnectedError,
     NotAnABoxError,
     connected_individuals,
@@ -103,8 +102,6 @@ class TestValidateAnnotation:
         abox = [ConceptAssert(ConceptNeg(ConceptAtom(nc("C"))), nc("a"))]
         with pytest.raises(NotAnABoxError):
             validate_annotation(nc("a"), abox)
-        ca = validate_annotation(nc("a"), abox, extended=True)
-        assert isinstance(ca, ContextualAnnotation)
 
     def test_anchor_absent_from_nonempty_abox_rejected(self):
         with pytest.raises(DisconnectedError):

@@ -241,6 +241,48 @@ class TestValidateAndErrors:
         assert code == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_unknown_strategy_exits_two(self, files, capsys):
+        out = str(files["dir"] / "out.dl")
+        code = run(["contextualize", "--strategy", "x", "-O", files["babylon.dl"], "-A", files["ctx.dl"], "-o", out])
+        assert code == 2
+        assert "unknown strategy 'x'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def unprintable(tmp_path):
+    """Inputs whose rewrite has no text form: `ctx` renamed into context CA
+    is the contextual term `ctx@CA`, whose name reads back as an anchor."""
+    (tmp_path / "o.dl").write_text("ontology o { C(ctx) . }\n")
+    (tmp_path / "a.dl").write_text("annotation CA anchor a { Src(a) . }\n")
+    return tmp_path
+
+
+class TestUnprintableRewrite:
+    def test_contextualize_exits_two_without_output(self, unprintable, capsys):
+        code = run(
+            [
+                "contextualize", "--strategy", "ndterms", "-O", str(unprintable / "o.dl"),
+                "-A", str(unprintable / "a.dl"), "-o", str(unprintable / "out.dl"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ctx@CA" in err
+        assert sorted(p.name for p in unprintable.iterdir()) == ["a.dl", "o.dl"]
+
+    def test_check_exits_two_without_report_trail(self, unprintable, capsys):
+        code = run(
+            [
+                "check", "--property", "soundness", "--strategy", "ndfluents", "-O", str(unprintable / "o.dl"),
+                "-A", str(unprintable / "a.dl"), "--report", str(unprintable / "r.jsonl"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ctx@CA" in err
+        # No report line, no witness file, no temporary file left behind.
+        assert sorted(p.name for p in unprintable.iterdir()) == ["a.dl", "o.dl"]
+
 
 def ctxdl_process(*args: str) -> subprocess.CompletedProcess:
     """`python -m ctxdl ARGS` in a fresh interpreter that imports this ctxdl."""

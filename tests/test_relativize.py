@@ -24,9 +24,8 @@ from ctxdl.core import (
 from ctxdl.relativize import (
     AlreadyRelativizedError,
     ContextualTermInSignatureError,
-    relativize_concept,
+    relativize_axiom,
     relativize_ontology,
-    relativize_role,
 )
 from ctxdl.search import check_entailment, find_model
 from ctxdl.semantics import Interpretation, NotEntailed, SatisfiableAt, is_model
@@ -40,42 +39,42 @@ TOP = TopCtx(CTX)
 
 class TestConceptRules:
     def test_negation_gets_guard(self):
-        assert relativize_concept(ConceptNeg(catom("C")), CTX) == ConceptIntersection(
+        assert relativize_axiom(ConceptNeg(catom("C")), CTX) == ConceptIntersection(
             ConceptNeg(catom("C")), TOP
         )
 
     def test_atoms_unchanged(self):
-        assert relativize_concept(catom("C"), CTX) == catom("C")
+        assert relativize_axiom(catom("C"), CTX) == catom("C")
 
     def test_plain_top_becomes_context_top(self):
-        assert relativize_concept(Exists(ratom("capitalOf"), Top()), CTX) == Exists(
+        assert relativize_axiom(Exists(ratom("capitalOf"), Top()), CTX) == Exists(
             ratom("capitalOf"), TOP
         )
 
     def test_value_restriction_gets_guard(self):
         expr = Forall(ratom("R"), catom("C"))
-        assert relativize_concept(expr, CTX) == ConceptIntersection(expr, TOP)
+        assert relativize_axiom(expr, CTX) == ConceptIntersection(expr, TOP)
 
     def test_already_relativized_guard(self):
         with pytest.raises(AlreadyRelativizedError):
-            relativize_concept(Exists(ratom("R"), TOP), CTX)
+            relativize_axiom(Exists(ratom("R"), TOP), CTX)
 
     def test_other_contexts_pass_through(self):
         other = TopCtx("other")
-        assert relativize_concept(other, CTX) == other
+        assert relativize_axiom(other, CTX) == other
 
 
 class TestRoleRules:
     def test_negation_gets_square_guard(self):
-        assert relativize_role(RoleNeg(ratom("R")), CTX) == RoleIntersection(
+        assert relativize_axiom(RoleNeg(ratom("R")), CTX) == RoleIntersection(
             RoleNeg(ratom("R")), Product(TOP, TOP)
         )
 
     def test_inverse_recurses_without_guard(self):
-        assert relativize_role(Inverse(ratom("R")), CTX) == Inverse(ratom("R"))
+        assert relativize_axiom(Inverse(ratom("R")), CTX) == Inverse(ratom("R"))
 
     def test_closure_gets_square_guard(self):
-        assert relativize_role(Closure(ratom("R")), CTX) == RoleIntersection(
+        assert relativize_axiom(Closure(ratom("R")), CTX) == RoleIntersection(
             Closure(ratom("R")), Product(TOP, TOP)
         )
 

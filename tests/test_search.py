@@ -52,7 +52,6 @@ from ctxdl.search import (
 )
 from ctxdl.semantics import (
     BoundTooLargeError,
-    EvalOptions,
     NoCounterexampleUpTo,
     NoModelUpTo,
     NotEntailed,
@@ -163,8 +162,8 @@ class TestIntervalEvaluation:
         concept = random_concept(rng, terms, rng.randint(0, 2))
         role = random_role(rng, terms, rng.randint(0, 2))
         slots = {}
-        concept_ival = _interval(concept, slots, True)
-        role_ival = _interval(role, slots, True)
+        concept_ival = _interval(concept, slots)
+        role_ival = _interval(role, slots)
         vals, dom = encode(full, slots, exposed), _Domain(size)
         clo, chi = concept_ival(vals, dom)
         rlo, rhi = role_ival(vals, dom)
@@ -181,7 +180,7 @@ class TestIntervalEvaluation:
             full = random_interpretation(rng, terms, size)
             c = random_concept(rng, terms, 2)
             slots = {}
-            ival = _interval(c, slots, True)
+            ival = _interval(c, slots)
             lo, hi = ival(encode(full, slots), _Domain(size))
             assert lo == hi
             assert _decode_set(lo) == eval_concept(c, full)
@@ -199,10 +198,9 @@ def node_types(expr, acc):
 class TestMaskKernel:
     """The compiled exact evaluator against the frozenset evaluator."""
 
-    @pytest.mark.parametrize("reflexive", [True, False])
-    def test_exact_matches_semantics(self, reflexive):
-        options = EvalOptions(reflexive_closure=reflexive)
-        rng = random.Random(2024 + reflexive)
+    @pytest.mark.parametrize("seed", [2024, 2025])
+    def test_exact_matches_semantics(self, seed):
+        rng = random.Random(seed)
         terms = term_pool(3)
         seen = set()
         for _ in range(400):
@@ -213,13 +211,13 @@ class TestMaskKernel:
             role = random_role(rng, terms, rng.randint(0, 3))
             axiom = random_axiom(rng, terms, rng.randint(0, 2))
             slots = {}
-            concept_fn = _exact(concept, slots, reflexive)
-            role_fn = _exact(role, slots, reflexive)
-            holds_fn = _compile_holds(axiom, slots, reflexive)
+            concept_fn = _exact(concept, slots)
+            role_fn = _exact(role, slots)
+            holds_fn = _compile_holds(axiom, slots)
             vals = encode(interp, slots)
-            assert _decode_set(concept_fn(vals, dom)) == eval_concept(concept, interp, options)
-            assert _decode_pairs(role_fn(vals, dom), size) == eval_role(role, interp, options)
-            assert holds_fn(vals, dom) is satisfies(interp, axiom, options)
+            assert _decode_set(concept_fn(vals, dom)) == eval_concept(concept, interp)
+            assert _decode_pairs(role_fn(vals, dom), size) == eval_role(role, interp)
+            assert holds_fn(vals, dom) is satisfies(interp, axiom)
             for expr in (concept, role, axiom):
                 node_types(expr, seen)
         assert {Closure, AtMost, AtLeast, Inverse, Compose, Product, Nominals} <= seen
@@ -243,9 +241,9 @@ class TestMaskRules:
                                        RoleAssert(RoleAtom(Term.nc("R")), Term.nc("a"), Term.nc("b"))])
     def test_evaluators_reject_non_expressions(self, value):
         with pytest.raises(TypeError):
-            _exact(value, {}, True)
+            _exact(value, {})
         with pytest.raises(TypeError):
-            _interval(value, {}, True)
+            _interval(value, {})
 
     def test_interval_brackets_every_completion_for_every_constructor(self):
         # Seeded, so every compound constructor is generated, which pins
@@ -254,9 +252,7 @@ class TestMaskRules:
         rng = random.Random(31)
         terms = term_pool(3)
         seen = set()
-        for index in range(400):
-            reflexive = index % 2 == 0
-            options = EvalOptions(reflexive_closure=reflexive)
+        for _ in range(400):
             size = rng.randint(1, 3)
             full = random_interpretation(rng, terms, size)
             exposed = {(aspect, t) for t in terms for aspect in (IND, CONC, ROLE) if rng.random() < 0.5}
@@ -265,13 +261,13 @@ class TestMaskRules:
             concept = random_concept(rng, terms, rng.randint(1, 3))
             role = random_role(rng, terms, rng.randint(1, 3))
             slots = {}
-            concept_ival = _interval(concept, slots, reflexive)
-            role_ival = _interval(role, slots, reflexive)
+            concept_ival = _interval(concept, slots)
+            role_ival = _interval(role, slots)
             vals, dom = encode(full, slots, exposed), _Domain(size)
             clo, chi = concept_ival(vals, dom)
             rlo, rhi = role_ival(vals, dom)
-            assert _decode_set(clo) <= eval_concept(concept, full, options) <= _decode_set(chi)
-            assert _decode_pairs(rlo, size) <= eval_role(role, full, options) <= _decode_pairs(rhi, size)
+            assert _decode_set(clo) <= eval_concept(concept, full) <= _decode_set(chi)
+            assert _decode_pairs(rlo, size) <= eval_role(role, full) <= _decode_pairs(rhi, size)
             node_types(concept, seen)
             node_types(role, seen)
         assert COMPOUND <= seen
