@@ -1,12 +1,14 @@
 """Fingerprint of the search tree and of the rewrite layer.
 
-    python3 scripts/search_fingerprint.py CHECKOUT OUT.jsonl
+    python3 scripts/search_fingerprint.py CHECKOUT OUT_DIR
 
 Runs every cell of the benchmark's ``refute`` and ``witness`` workloads
 (seeds 1 and 2) and 1500 random ontologies (``find_model`` and
-``check_entailment``) against the library in ``CHECKOUT/src``, and writes one
-JSON line per call: the verdicts, the serialized witnesses, and the number
-of candidates each search call tried (or where it ran out of budget).
+``check_entailment``) against the library in ``CHECKOUT/src``, and writes
+two files into ``OUT_DIR``. ``verdicts.jsonl`` holds one JSON line per call
+with its verdicts and serialized witnesses, or the budget it ran out of.
+``counts.jsonl`` holds one JSON line per call with the number of candidates
+each of its search calls tried.
 
 It then writes one line per rewrite: ``contextualize`` under every strategy
 of each statement of the ``witness`` corpus (seeds 1 and 2, with that seed's
@@ -23,13 +25,19 @@ its parse, and for 3000 seeded mutations of those texts (a truncation or an
 inserted token) one line holds the parse error, or the ``stable_hash`` of
 the parse when the mutation still parses.
 
-Two checkouts whose files compare equal walk the same search tree, rewrite
-to the same ontologies, and print and parse the same text on all of these
-inputs:
+The rewrite and text lines go to ``verdicts.jsonl`` too.
 
-    python3 scripts/search_fingerprint.py . new.jsonl
-    python3 scripts/search_fingerprint.py ../parent old.jsonl
-    cmp old.jsonl new.jsonl
+Two checkouts whose ``verdicts.jsonl`` compare equal decide the same calls
+with the same verdicts and witnesses, rewrite to the same ontologies, and
+print and parse the same text on all of these inputs; whose
+``counts.jsonl`` compare equal too walk the same search trees. A change
+that prunes the search moves the counts and may decide more calls;
+``compare_fingerprints.py`` checks that it changes no verdict or witness
+where both sides decide and raises no count:
+
+    python3 scripts/search_fingerprint.py ../parent old
+    python3 scripts/search_fingerprint.py . new
+    python3 scripts/compare_fingerprints.py old new
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import warnings
 from pathlib import Path
 
 
-def main(checkout: Path, out_path: Path) -> None:
+def main(checkout: Path, out_dir: Path) -> None:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench"), str(checkout / "tests")]
     warnings.simplefilter("ignore")
     import workloads
@@ -68,7 +76,9 @@ def main(checkout: Path, out_path: Path) -> None:
         return [type(v).__name__, getattr(v, "size", None), getattr(v, "bound", None),
                 textio.serialize(model, "witness") if model is not None else None]
 
-    with out_path.open("w", encoding="utf-8") as out:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with (out_dir / "verdicts.jsonl").open("w", encoding="utf-8") as out, \
+            (out_dir / "counts.jsonl").open("w", encoding="utf-8") as counts:
 
         def emit(call_id, fn):
             budgets.clear()
@@ -76,7 +86,7 @@ def main(checkout: Path, out_path: Path) -> None:
             try:
                 result = fn()
             except sem.BoundTooLargeError as exc:
-                record["budget_out"] = [exc.explored, exc.budget]
+                record["budget_out"] = exc.budget
             else:
                 if hasattr(result, "premise_verdicts"):
                     record["outcome"] = result.outcome.value
@@ -84,8 +94,8 @@ def main(checkout: Path, out_path: Path) -> None:
                     record["conclusion"] = verdict(result.conclusion_verdict)
                 else:
                     record["verdict"] = verdict(result)
-            record["ticks"] = [b.used for b in budgets]
             out.write(json.dumps(record, sort_keys=True) + "\n")
+            counts.write(json.dumps({"id": call_id, "ticks": [b.used for b in budgets]}) + "\n")
 
         for workload in ("refute", "witness"):
             for seed in (1, 2):

@@ -140,9 +140,12 @@ def _search_budget() -> Optional[int]:
     if raw is None:
         return None
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        raise CliError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
+        budget = None
+    if budget is None or budget < 0:
+        raise CliError(f"{BUDGET_ENV} must be a non-negative integer, got {raw!r}")
+    return budget
 
 
 def _emit(record: dict, report_path: Optional[str], witness: Optional[Interpretation]) -> dict:

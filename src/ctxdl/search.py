@@ -24,7 +24,18 @@ Pruning machinery, in order of impact:
   bounds are enumerated;
 * a component whose every constraint has been consumed as a bound is
   determined: the lower bound itself is the only candidate that needs trying;
-* axioms are re-checked as soon as their last component is assigned;
+* check first: before a component's candidates are tried, the axioms whose
+  last component it is are decided with its atom reading the bracket
+  `(lower, upper)`; an axiom settled against there fails every candidate,
+  so the frame fails without trying one, and an axiom settled in favour
+  is not checked per candidate;
+* a clash between the bounds (a forced member that is not allowed) is
+  lifted: the bounds are recomputed under interval semantics with the
+  deepest component they read reading its own bracket, and if the clash
+  survives, that component's frame fails whole instead of trying its
+  remaining candidates;
+* axioms are re-checked as soon as their last component is assigned, and
+  interval-checked at each earlier one;
 * independent subproblems (connected components of the axiom/term graph) are
   solved separately and merged;
 * on failure, conflict-directed backjumping skips re-enumeration of
@@ -258,9 +269,12 @@ def _decode_pairs(mask: int, n: int) -> frozenset[tuple[int, int]]:
 # An exact closure `f(vals, dom) -> mask` reads components that are all
 # assigned. An interval closure `f(vals, dom) -> (lo, hi)` works under a
 # partial assignment: lo is contained in the value under every completion,
-# hi contains it, and unassigned atoms contribute (empty, everything). This
-# decides many axioms long before all their components are assigned, which
-# is what keeps single wide axioms from forcing full enumeration.
+# hi contains it, and unassigned atoms contribute (empty, everything). A
+# component may also hold a bracket `(lo, hi)` instead of a value: its atom
+# then reads that bracket, and the result covers every completion whose
+# value lies between the two. This decides many axioms long before all
+# their components are assigned, which is what keeps single wide axioms
+# from forcing full enumeration.
 
 Exact = Callable[[Vals, _Domain], int]
 Interval = Callable[[Vals, _Domain], tuple[int, int]]
@@ -335,9 +349,11 @@ def _interval(e, slots: Slots) -> Interval:
 
         def atom(v, d):
             val = v[s]
-            if val is not None:
-                return val, val
-            return 0, d.pairs if role else d.full
+            if val is None:
+                return 0, d.pairs if role else d.full
+            if val.__class__ is tuple:  # a bracket (lo, hi) of a pushed frame
+                return val
+            return val, val
 
         return atom
     if isinstance(e, Top):
@@ -474,44 +490,68 @@ class _Constraint:
 Bound = Callable[[Vals, _Domain], int]
 
 
-def _producer(con: _Constraint, target: CompKey) -> Optional[tuple[str, Bound]]:
-    """`con` consumed as a bound on `target` once its other components are
-    assigned: the kind, "L" (forced members), "U" (allowed members) or "X"
-    (excluded members), and the closure giving the bound's mask."""
+class _Producer:
+    """A constraint consumed as a bound on one component once its other
+    components are assigned: the kind, "L" (forced members), "U" (allowed
+    members) or "X" (excluded members), and `bound`, the closure giving the
+    bound's mask. `lifted` gives a bound that stays valid while a component
+    holds a bracket: `expr`, the expression whose value is the mask, under
+    interval semantics, its low end for "L" and its high end for "U". It is
+    compiled on first use. An assertion's bound has no `expr`: it reads
+    individuals only, which are assigned before any other component."""
+
+    def __init__(self, kind: str, bound: Bound, expr=None, slots: Optional[Slots] = None):
+        self.kind = kind
+        self.bound = bound
+        self.expr = expr
+        self.slots = slots
+
+    @cached_property
+    def lifted(self) -> Bound:
+        if self.expr is None:
+            return self.bound
+        f, end = _interval(self.expr, self.slots), 1 if self.kind == "U" else 0
+        return lambda v, d: f(v, d)[end]
+
+
+def _producer(con: _Constraint, target: CompKey) -> Optional[_Producer]:
+    """`con` consumed as a bound on `target`, or None when it is not one."""
     ax, slots = con.axiom, con.slots
+
+    def of(kind: str, expr) -> _Producer:
+        return _Producer(kind, _exact(expr, slots), expr, slots)
+
     if isinstance(ax, RoleAssert):
         if _atom_comp(ax.role) == target:
             s, o = slots[(IND, ax.subject)], slots[(IND, ax.object)]
-            return ("L" if con.positive else "X"), lambda v, d: 1 << v[s] * d.n + v[o]
+            return _Producer("L" if con.positive else "X", lambda v, d: 1 << v[s] * d.n + v[o])
         return None
     if isinstance(ax, ConceptAssert):
         if _atom_comp(ax.concept) == target:
             s = slots[(IND, ax.individual)]
-            return ("L" if con.positive else "X"), lambda v, d: 1 << v[s]
+            return _Producer("L" if con.positive else "X", lambda v, d: 1 << v[s])
         return None
     if not con.positive:
         return None
     left, right = ax.left, ax.right
     if _atom_comp(left) == target and target not in _comps(right):
-        return "U", _exact(right, slots)
+        return of("U", right)
     if _atom_comp(right) == target and target not in _comps(left):
-        return "L", _exact(left, slots)
+        return of("L", left)
     if (
         isinstance(left, Exists)
         and isinstance(left.concept, Top)
         and _atom_comp(left.role) == target
         and target not in _comps(right)
     ):
-        domain = _exact(right, slots)  # domain of role within rhs
-        return "U", lambda v, d: _product(domain(v, d), d.full, d)
+        return of("U", Product(right, Top()))  # domain of role within rhs
     if (
         isinstance(left, Top)
         and isinstance(right, Forall)
         and _atom_comp(right.role) == target
         and target not in _comps(right.concept)
     ):
-        filler = _exact(right.concept, slots)  # range of role within filler
-        return "U", lambda v, d: _product(d.full, filler(v, d), d)
+        return of("U", Product(Top(), right.concept))  # range of role within filler
     return None
 
 
@@ -524,6 +564,8 @@ class _Budget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: int):
+        if limit < 0:
+            raise ValueError(f"budget must be >= 0, got {limit}")
         self.limit = limit
         self.used = 0
 
@@ -540,10 +582,11 @@ class _Plan:
 
     slots: list[int]
     aspects: list[str]
-    # (kind, bound, positions of the producer's other components)
-    producers_at: list[list[tuple[str, Bound, int]]]
-    # (holds, positive, positions of the constraint's other components)
-    checks_at: list[list[tuple[Callable, bool, int]]]
+    # The producers consumed at each position, and the positions they read.
+    producers_at: list[list[_Producer]]
+    producer_reads: list[int]
+    # (holds, decide, positive, positions of the constraint's other components)
+    checks_at: list[list[tuple[Callable, Callable, bool, int]]]
     # (decide, not positive, positions of the constraint's earlier components)
     watch_at: list[list[tuple[Callable, bool, int]]]
     determined: list[bool]
@@ -565,6 +608,7 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
     position = {c: idx for idx, c in enumerate(order)}
 
     producers_at: list[list] = [[] for _ in order]
+    producer_reads = [0] * len(order)
     checks_at: list[list] = [[] for _ in order]
     watch_at: list[list] = [[] for _ in order]
     # Per position, the ids of constraints consumed there as bounds.
@@ -578,11 +622,11 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
         others = positions & ~(1 << i)
         prod = _producer(con, keys[last])
         if prod is not None:
-            kind, bound = prod
-            producers_at[i].append((kind, bound, others))
+            producers_at[i].append(prod)
+            producer_reads[i] |= others
             produced[i].add(id(con))
         else:
-            checks_at[i].append((con.holds, con.positive, others))
+            checks_at[i].append((con.holds, con.decide, con.positive, others))
             # Interval-check the axiom at every earlier component; many
             # axioms are settled well before their last component. Settled
             # negatively by assigned components alone, so only those can be
@@ -600,7 +644,45 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
                 determined[j] = False
 
     aspects = [keys[c][0] for c in order]
-    return _Plan(order, aspects, producers_at, checks_at, watch_at, determined)
+    return _Plan(order, aspects, producers_at, producer_reads, checks_at, watch_at, determined)
+
+
+def _bracket(producers: list[_Producer], vals: Vals, d: _Domain, upper: int, lifted: bool = False) -> tuple[int, int]:
+    """The `(lower, upper)` bounds the producers put on one component, from
+    their exact bounds, or from their lifted ones when `lifted`."""
+    lower = 0
+    for prod in producers:
+        mask = (prod.lifted if lifted else prod.bound)(vals, d)
+        kind = prod.kind
+        if kind == "L":
+            lower |= mask
+        elif kind == "U":
+            upper &= mask
+        else:
+            upper &= ~mask
+    return lower, upper
+
+
+def _clash_conflict(plan: _Plan, frames: list[list], j: int, vals: Vals, d: _Domain, full: int) -> int:
+    """The conflict set of a clash between the bounds of position j.
+
+    The clash is re-run on the lifted bounds, with the deepest position k it
+    blames reading its frame's own bracket. If it survives, no value at k
+    can help, and frame k fails whole: in the blame, k is replaced by k's
+    accumulated conflict set and the positions k's producers read.
+    Otherwise the blame itself is returned, and the search backjumps to k."""
+    blame = plan.producer_reads[j]
+    k = blame.bit_length() - 1
+    if k < 0 or plan.aspects[k] == IND:
+        return blame
+    _, conflict_k, reads_k, lower_k, upper_k, _ = frames[k]
+    slot = plan.slots[k]
+    value, vals[slot] = vals[slot], (lower_k, upper_k)
+    lower, upper = _bracket(plan.producers_at[j], vals, d, full, lifted=True)
+    vals[slot] = value
+    if lower & ~upper:
+        return blame & ~(1 << k) | conflict_k | reads_k
+    return blame
 
 
 def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Optional[int]:
@@ -609,8 +691,9 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
     success.
 
     Depth-first over the plan's order with an explicit stack: one frame per
-    assigned position holds its remaining candidates, its conflict set and
-    the positions its producers read."""
+    assigned position holds its remaining candidates, its conflict set, the
+    positions its producers read, its bounds, and the checks its bounds
+    leave open."""
     depth = len(plan.slots)
     pslots, aspects = plan.slots, plan.aspects
     tick = budget.tick
@@ -621,28 +704,37 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
         if i == depth:
             return None
         returned: Optional[int] = None
-        producer_positions = 0
+        reads = plan.producer_reads[i]
         if aspects[i] == IND:
             candidates: Iterator = iter(range(d.n))
+            lower = upper = None
+            open_checks = plan.checks_at[i]
         else:
-            lower, upper = 0, (d.pairs if aspects[i] == ROLE else d.full)
-            for kind, bound, others in plan.producers_at[i]:
-                producer_positions |= others
-                mask = bound(vals, d)
-                if kind == "L":
-                    lower |= mask
-                elif kind == "U":
-                    upper &= mask
-                else:
-                    upper &= ~mask
+            full = d.pairs if aspects[i] == ROLE else d.full
+            lower, upper = _bracket(plan.producers_at[i], vals, d, full)
             if lower & ~upper:
-                returned = producer_positions
-            elif plan.determined[i]:
-                candidates = iter((lower,))
+                returned = _clash_conflict(plan, frames, i, vals, d, full)
             else:
-                candidates = _submasks(lower, upper ^ lower)
+                # Check first, over the whole bracket: a constraint settled
+                # against fails every candidate, so none is tried; one
+                # settled in favour holds for every candidate, so it is not
+                # checked per candidate.
+                slot = pslots[i]
+                vals[slot] = (lower, upper)
+                open_checks = []
+                for check in plan.checks_at[i]:
+                    _, decide, positive, others = check
+                    settled = decide(vals, d)
+                    if settled is None:
+                        open_checks.append(check)
+                    elif settled is not positive:
+                        returned = others | reads
+                        break
+                vals[slot] = None
+                if returned is None:
+                    candidates = iter((lower,)) if plan.determined[i] else _submasks(lower, upper ^ lower)
         if returned is None:
-            frames.append([candidates, 0, producer_positions])
+            frames.append([candidates, 0, reads, lower, upper, open_checks])
 
         # Try candidates at the top frame; pop the frames that are exhausted
         # or that a returned conflict set jumps over.
@@ -658,12 +750,12 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
                 frame[1] |= returned & ~(1 << i)
                 returned = None
             conflict = frame[1]
-            checks, watches = plan.checks_at[i], plan.watch_at[i]
+            checks, watches = frame[5], plan.watch_at[i]
             for value in frame[0]:
                 tick()
                 vals[slot] = value
                 failed = False
-                for holds, positive, others in checks:
+                for holds, _, positive, others in checks:
                     if holds(vals, d) is not positive:
                         conflict |= others
                         failed = True
@@ -805,7 +897,9 @@ def find_model(ontology: Ontology, max_size: int, *, budget: Optional[int] = Non
 
     Complete up to the bound: a NoModelUpTo(n) verdict guarantees that no
     interpretation over the ontology's signature with at most n elements is a
-    model. Deterministic: equal inputs yield the identical witness.
+    model. Deterministic: equal inputs yield the identical witness. Past
+    `budget` candidates the search raises `BoundTooLargeError`; a negative
+    budget is a `ValueError`.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -826,7 +920,8 @@ def check_entailment(premise: Ontology, conclusion: Ontology, max_size: int, *, 
 
     Interpretations range over the union of both signatures. Complete up to
     the bound and deterministic; axioms of the conclusion that appear
-    verbatim in the premise cannot be violated and are skipped.
+    verbatim in the premise cannot be violated and are skipped. `budget` is
+    as for `find_model`.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")

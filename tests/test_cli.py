@@ -241,6 +241,14 @@ class TestValidateAndErrors:
         assert code == 2
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["-5", "many"])
+    def test_bad_budget_env_exits_two(self, files, monkeypatch, capsys, raw):
+        monkeypatch.setenv("CTXDL_BUDGET", raw)
+        assert run(["models", files["irreflexive.dl"], "--bound", "3"]) == 2
+        err = capsys.readouterr().err
+        assert f"CTXDL_BUDGET must be a non-negative integer, got {raw!r}" in err
+        assert "explored" not in err
+
     def test_unknown_strategy_exits_two(self, files, capsys):
         out = str(files["dir"] / "out.dl")
         code = run(["contextualize", "--strategy", "x", "-O", files["babylon.dl"], "-A", files["ctx.dl"], "-o", out])

@@ -1,0 +1,97 @@
+"""`scripts/compare_fingerprints.py` on small hand-written fingerprints."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_fingerprints.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("compare_fingerprints", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_fingerprints = load_script()
+
+WITNESS = ["SatisfiableAt", 1, None, "model witness {\n  domain 1 .\n}\n"]
+OLD = [
+    ({"id": "refute/1/a", "verdict": ["NoModelUpTo", None, 3, None]}, [120]),
+    ({"id": "refute/1/b", "budget_out": 20000}, [20001]),
+    ({"id": "witness/1/c", "outcome": "holds", "premises": [WITNESS], "conclusion": WITNESS}, [4, 9]),
+    ({"id": "text/0", "text": "ontology o0 {\n}\n"}, None),
+]
+
+
+def write(root: Path, calls) -> Path:
+    root.mkdir()
+    with (root / "verdicts.jsonl").open("w") as verdicts, (root / "counts.jsonl").open("w") as counts:
+        for record, ticks in calls:
+            verdicts.write(json.dumps(record, sort_keys=True) + "\n")
+            if ticks is not None:
+                counts.write(json.dumps({"id": record["id"], "ticks": ticks}) + "\n")
+    return root
+
+
+def changed(index, record=None, ticks=None):
+    calls = [(dict(r), t) for r, t in OLD]
+    old_record, old_ticks = calls[index]
+    calls[index] = (record if record is not None else old_record, ticks if ticks is not None else old_ticks)
+    return calls
+
+
+def run(tmp_path, new_calls, capsys):
+    code = compare_fingerprints.main([str(write(tmp_path / "old", OLD)), str(write(tmp_path / "new", new_calls))])
+    return code, capsys.readouterr().out
+
+
+def test_identical_fingerprints_pass(tmp_path, capsys):
+    code, out = run(tmp_path, OLD, capsys)
+    assert code == 0
+    assert "decided by both: 3, new only: 0, old only: 0, neither: 1" in out
+
+
+def test_newly_decided_call_with_falling_count_passes(tmp_path, capsys):
+    new = changed(1, {"id": "refute/1/b", "verdict": ["NoModelUpTo", None, 4, None]}, [800])
+    code, out = run(tmp_path, new, capsys)
+    assert code == 0
+    assert "new only: 1" in out
+    assert "1 fell" in out
+
+
+@pytest.mark.parametrize("index, record", [
+    (0, {"id": "refute/1/a", "verdict": ["SatisfiableAt", 2, None, "model witness {\n  domain 2 .\n}\n"]}),
+    (2, {"id": "witness/1/c", "outcome": "holds", "premises": [WITNESS],
+         "conclusion": WITNESS[:3] + ["model witness {\n  domain 1 .\n  conc A = {0} .\n}\n"]}),
+    (3, {"id": "text/0", "text": "ontology o0 {\n  A sub B .\n}\n"}),
+])
+def test_changed_verdict_where_both_decide_fails(tmp_path, capsys, index, record):
+    code, out = run(tmp_path, changed(index, record), capsys)
+    assert code == 1
+    assert f"FAIL {record['id']}: verdict differs" in out
+
+
+@pytest.mark.parametrize("ticks", [[121], [3, 10], [4, 9, 1]])
+def test_rising_count_fails(tmp_path, capsys, ticks):
+    index = 0 if len(ticks) == 1 else 2
+    code, out = run(tmp_path, changed(index, ticks=ticks), capsys)
+    assert code == 1
+    assert "count rises" in out
+
+
+def test_call_that_runs_out_of_budget_only_on_the_new_side_fails(tmp_path, capsys):
+    # Both sides search with one budget, so losing a decided call raises its count.
+    code, out = run(tmp_path, changed(0, {"id": "refute/1/a", "budget_out": 20000}, [20001]), capsys)
+    assert code == 1
+    assert "old only: 1" in out
+    assert "FAIL refute/1/a: count rises, [120] -> [20001]" in out
+
+
+def test_different_calls_fail(tmp_path, capsys):
+    code, out = run(tmp_path, OLD[:2] + OLD[3:], capsys)
+    assert code == 1
+    assert "different calls" in out
