@@ -12,11 +12,12 @@ each of its search calls tried.
 
 It then writes one line per rewrite: ``contextualize`` under every strategy
 of each statement of the ``witness`` corpus (seeds 1 and 2, with that seed's
-annotations) and of each curated ontology (with the running example's
-annotation), and ``combine_contexts`` of the first 1, 2, 4, ..., 64
-statement/annotation pairs of each corpus. A line holds the serialized
-output and the ``stable_hash`` of its axioms and sorted signature, which
-also pins the term kinds the text does not show.
+annotations), of each curated ontology and of ``EDGE_ONTOLOGY`` (both with
+the running example's annotation), and ``combine_contexts`` of the first 1,
+2, 4, ..., 64 statement/annotation pairs of each corpus. A line holds the
+serialized output, the ``stable_hash`` of its axioms and sorted signature,
+which also pins the term kinds the text does not show, and the category and
+message of each warning the rewrite raised (not where it was raised).
 
 Last, it pins the text layer: for 3000 seeded documents (an ontology block
 from ``tests/generators.random_document_ontology``, an annotation block and
@@ -48,6 +49,19 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+
+# Rewrite edge cases the corpora do not reach: a context top of a foreign
+# context in a TBox axiom and in an assertion, a punned term, a role that is
+# also its own subject, a two-member nominal, and a non-atomic role assertion.
+EDGE_ONTOLOGY = """ontology edge {
+  ctxtop[X] sub C .
+  and(C, ctxtop[X])(a) .
+  t(t) .
+  r(r, a) .
+  exists(r, oneof(a, t))(b) .
+  inv(r)(a, t) .
+}
+"""
 
 
 def main(checkout: Path, out_dir: Path) -> None:
@@ -117,13 +131,16 @@ def main(checkout: Path, out_dir: Path) -> None:
 
         def emit_rewrite(call_id, fn):
             record = {"id": call_id}
-            try:
-                onto = fn()
-            except Exception as exc:  # a rejected input is part of the fingerprint
-                record["error"] = type(exc).__name__
-            else:
-                record["text"] = textio.serialize(onto, "out")
-                record["structure"] = mods.core.stable_hash((onto.axioms, tuple(onto.sorted_signature())), 16)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    onto = fn()
+                except Exception as exc:  # a rejected input is part of the fingerprint
+                    record["error"] = type(exc).__name__
+                else:
+                    record["text"] = textio.serialize(onto, "out")
+                    record["structure"] = mods.core.stable_hash((onto.axioms, tuple(onto.sorted_signature())), 16)
+            record["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
             out.write(json.dumps(record, sort_keys=True) + "\n")
 
         def rewrite_all(prefix, pairs):
@@ -152,6 +169,7 @@ def main(checkout: Path, out_dir: Path) -> None:
         for _, premise, conclusion in mods.verify.curated_entailment_pairs():
             curated += [premise, conclusion]
         rewrite_all("contextualize/curated", [(onto, ca) for onto in curated])
+        rewrite_all("contextualize/edge", [(textio.parse(EDGE_ONTOLOGY).ontologies()[0], ca)])
 
         core = mods.core
 

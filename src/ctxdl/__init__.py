@@ -1,9 +1,10 @@
 """ctxdl: contextual annotation of description-logic ontologies.
 
 Build ontologies over punned terms, attach contextual annotations, rewrite
-annotated statements with one of five contextualization strategies, and
-check soundness / inconsistency preservation / entailment preservation with
-a bounded finite-model oracle.
+annotated statements with one of six contextualization strategies in two
+families (slicing: NdTerms, NdFluents; reification: RDF, n-ary, n-ary with a
+hub concept, singleton property), and check soundness / inconsistency
+preservation / entailment preservation with a bounded finite-model oracle.
 """
 
 from .annotation import (

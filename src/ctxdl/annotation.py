@@ -120,8 +120,12 @@ def validate_annotation(
     witness connectivity themselves (they never occur as individuals), which
     is why they are checked through their host assertions.
 
-    Assertions must use atomic concepts and roles.
+    Assertions must use atomic concepts and roles. An explicit `ctx_id` must
+    be nonempty and without whitespace, like a term name, since strategies
+    build term names from it.
     """
+    if ctx_id is not None and (not ctx_id or any(ch.isspace() for ch in ctx_id)):
+        raise AnnotationError(f"context id must be nonempty without whitespace: {ctx_id!r}")
     axioms = tuple(abox)
     for ax in axioms:
         if not isinstance(ax, ABOX_FORMS):
@@ -145,7 +149,7 @@ def validate_annotation(
     if axioms:
         if anchor_root is None:
             # The anchor itself never occurs: everything else is adrift.
-            disconnected |= set(signature_of_abox(axioms))
+            disconnected |= {t for ax in axioms for t in signature_of(ax)}
         else:
             for t in roots:
                 if roots[t] != anchor_root:
@@ -161,14 +165,7 @@ def validate_annotation(
     if disconnected:
         raise DisconnectedError(frozenset(disconnected - {anchor}))
 
-    sigma = frozenset(signature_of_abox(axioms)) - {anchor}
+    sigma = frozenset(t for ax in axioms for t in signature_of(ax)) - {anchor}
     if ctx_id is None:
         ctx_id = stable_hash((anchor, axioms))
     return ContextualAnnotation(anchor=anchor, abox=axioms, sigma=sigma, ctx_id=ctx_id)
-
-
-def signature_of_abox(abox: Sequence[Axiom]) -> set[Term]:
-    out: set[Term] = set()
-    for ax in abox:
-        out |= signature_of(ax)
-    return out

@@ -3,22 +3,24 @@ into one plain ontology that carries both the statement and its context.
 
 All strategies share the same contract: the annotation's assertions are
 reproduced with the anchor replaced by a fresh anchor term, and the statement
-signature maps injectively into the output. They differ in how much of the
-statement is rewritten:
+signature maps injectively into the output. The six strategies fall into two
+families, each driven by one table keyed by `Strategy`:
 
-* NdTerms relativizes the statement to a context top, renames every term
-  (including the top) into a per-context copy, and links the copies to the
-  originals (isContextualPartOf) and to the context anchor (isInContext).
-* NdFluents renames only individuals in ABox assertions; no relativization.
-* RDF reification replaces an atomic role assertion by subject/predicate/
-  object triples hung off a per-statement anchor.
-* N-ary relations split an atomic role assertion through a hub individual,
-  with derived roles name#1/name#2 (and optionally a derived hub concept).
-* The singleton property turns the per-statement anchor itself into a role
-  holding exactly between the original arguments.
-
-The reification-style strategies annotate role assertions only; every other
-axiom passes through untouched and unannotated.
+* Slicing (`_SLICINGS`): one walker renames the sliced positions of the
+  statement into per-context copies and links each sliced term to its
+  original (isContextualPartOf) and to the context anchor (isInContext).
+  A row says which positions are sliced, and whether the statement is first
+  relativized to the context top, with the membership axioms of each sliced
+  term. NdTerms slices every term (a context top becomes its `top@ctx`
+  atom) and is relativized; NdFluents, the N-dimensional 4dFluents, slices
+  only the individuals of assertions and is not.
+* Reification (`_REIFICATIONS`): an atomic role assertion is replaced by
+  axioms hung off a per-statement anchor. A row maps (anchor, role,
+  subject, object) to those axioms: subject/predicate/object triples (RDF),
+  a hub with derived roles name#1/name#2 (n-ary, and with a derived hub
+  concept, n-ary-concept), or the anchor itself as a role holding exactly
+  between the arguments (singleton property). Every other axiom passes
+  through untouched and unannotated.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .annotation import AnnotatedOntology, AnnotatedStatement, ContextualAnnotation
 from .core import (
-    ABOX_FORMS,
     Axiom,
     ConceptAssert,
     ConceptAtom,
@@ -40,6 +41,7 @@ from .core import (
     Ontology,
     RoleAssert,
     RoleAtom,
+    RoleSub,
     Term,
     TermKind,
     TopCtx,
@@ -88,7 +90,7 @@ class DuplicateContextIdError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Renaming and anchors
+# Renaming, anchors and the context part
 # ---------------------------------------------------------------------------
 
 
@@ -120,111 +122,74 @@ def statement_anchor(axiom: Axiom, ca: ContextualAnnotation) -> Term:
     return Term(f"st@{ca.ctx_id}@{stable_hash(axiom)}", TermKind.ANCHOR)
 
 
-def rename_axiom(ax: Axiom, scheme: RenamingScheme) -> Axiom:
-    """Rename every term of the axiom into the scheme's context; a context
-    top becomes that context's contextual top concept."""
-
-    def rename(x):
-        if isinstance(x, TopCtx):
-            return ConceptAtom(RenamingScheme(x.ctx_id).top_term())
-        return map_children(x, rename, scheme.rename)
-
-    return rename(ax)
-
-
-# ---------------------------------------------------------------------------
-# The shared context part
-# ---------------------------------------------------------------------------
-
-
 def cx_of_annotation(ca: ContextualAnnotation, anchor_replacement: Term) -> list[Axiom]:
     """The annotation's assertions with the anchor swapped for a fresh term
     in argument positions; everything else is copied verbatim."""
     if anchor_replacement in ca.signature():
         raise ValueError(f"replacement {anchor_replacement.name!r} already occurs in the annotation")
-    out: list[Axiom] = []
-    for ax in ca.abox:
-        if isinstance(ax, ConceptAssert):
-            ind = anchor_replacement if ax.individual == ca.anchor else ax.individual
-            out.append(ConceptAssert(ax.concept, ind))
-        elif isinstance(ax, RoleAssert):
-            subj = anchor_replacement if ax.subject == ca.anchor else ax.subject
-            obj = anchor_replacement if ax.object == ca.anchor else ax.object
-            out.append(RoleAssert(ax.role, subj, obj))
-        else:
-            out.append(ax)
-    return out
+
+    def swap_anchor(t: Term) -> Term:
+        return anchor_replacement if t == ca.anchor else t
+
+    return [map_children(ax, lambda x: x, swap_anchor) for ax in ca.abox]
 
 
 # ---------------------------------------------------------------------------
-# Per-statement transformations
+# The slicing family: NdTerms and NdFluents
 # ---------------------------------------------------------------------------
 
 
-def _sliced(out: list[Axiom], terms: list[Term], ca: ContextualAnnotation) -> list[Axiom]:
-    """`out` followed by the links of each renamed term to its original
+@dataclass(frozen=True)
+class _Slicing:
+    every_term: bool  # every term and context top is sliced, else only the individuals of assertions
+    relativized: bool  # relativize first and add the membership axioms of each sliced term
+
+
+_SLICINGS = {
+    Strategy.ND_TERMS: _Slicing(every_term=True, relativized=True),
+    Strategy.ND_FLUENTS: _Slicing(every_term=False, relativized=False),
+}
+
+
+def _sliced_statement(slicing: _Slicing, axiom: Axiom, ca: ContextualAnnotation) -> list[Axiom]:
+    """The statement with its sliced positions renamed into the context,
+    followed by the links of each sliced term to its original
     (isContextualPartOf) and to the context anchor (isInContext), and by the
-    context part."""
+    context part. Duplicates are left to the final ontology: the renaming is
+    injective, so they collapse there just the same."""
     scheme = RenamingScheme(ca.ctx_id)
+    sliced: set[Term] = set()
+    # Only individuals of assertions: context tops, atoms and TBox axioms stay.
+    kept = () if slicing.every_term else (TopCtx, ConceptAtom, RoleAtom, ConceptSub, RoleSub)
+
+    def part(t: Term) -> Term:
+        sliced.add(t)
+        return scheme.rename(t)
+
+    def rename(x):
+        if isinstance(x, kept):
+            return x
+        if isinstance(x, TopCtx):
+            return ConceptAtom(RenamingScheme(x.ctx_id).top_term())
+        return map_children(x, rename, part)
+
+    if slicing.relativized:
+        out = [rename(relativize_axiom(axiom, ca.ctx_id))]
+        for t in sorted(sliced, key=Term.sort_key):
+            out.extend(rename(ax) for ax in membership_axioms(t, ca.ctx_id))
+    else:
+        out = [rename(axiom)]
     ctx_anchor = annotation_anchor(ca)
+    terms = sorted(sliced, key=Term.sort_key)
     out.extend(RoleAssert(RoleAtom(IS_CONTEXTUAL_PART_OF), scheme.rename(t), t) for t in terms)
     out.extend(RoleAssert(RoleAtom(IS_IN_CONTEXT), scheme.rename(t), ctx_anchor) for t in terms)
     out.extend(cx_of_annotation(ca, ctx_anchor))
     return out
 
 
-def _ndterms_statement(axiom: Axiom, ca: ContextualAnnotation) -> list[Axiom]:
-    """Relativize the statement, add the membership axioms of its terms, and
-    rename everything. Duplicates are left to the final ontology: the
-    renaming is injective, so they collapse there just the same."""
-    scheme = RenamingScheme(ca.ctx_id)
-    terms = sorted(signature_of(axiom), key=Term.sort_key)
-    out = [rename_axiom(relativize_axiom(axiom, ca.ctx_id), scheme)]
-    for t in terms:
-        out.extend(rename_axiom(ax, scheme) for ax in membership_axioms(t, ca.ctx_id))
-    return _sliced(out, terms, ca)
-
-
-def _ndfluents_statement(axiom: Axiom, ca: ContextualAnnotation) -> list[Axiom]:
-    """Rename the individuals of an assertion: its arguments and the members
-    of its nominals. Concept and role names, and every TBox axiom, stay."""
-    scheme = RenamingScheme(ca.ctx_id)
-    individuals: set[Term] = set()
-
-    def rename_individual(t: Term) -> Term:
-        individuals.add(t)
-        return scheme.rename(t)
-
-    def rename(x):
-        if isinstance(x, (ConceptAtom, RoleAtom)):
-            return x
-        return map_children(x, rename, rename_individual)
-
-    out: list[Axiom] = [rename(axiom) if isinstance(axiom, ABOX_FORMS) else axiom]
-    return _sliced(out, sorted(individuals, key=Term.sort_key), ca)
-
-
-def _atomic_role_assertion(axiom: Axiom) -> bool:
-    return isinstance(axiom, RoleAssert) and isinstance(axiom.role, RoleAtom)
-
-
-def _reified_passthrough(axiom: Axiom) -> list[Axiom]:
-    if isinstance(axiom, RoleAssert):
-        warnings.warn(NonAtomicAssertionWarning(axiom), stacklevel=4)
-    return [axiom]
-
-
-def _rdf_statement(axiom: Axiom, ca: ContextualAnnotation) -> list[Axiom]:
-    if not _atomic_role_assertion(axiom):
-        return _reified_passthrough(axiom)
-    anchor = statement_anchor(axiom, ca)
-    out: list[Axiom] = [
-        RoleAssert(RoleAtom(SUBJECT), anchor, axiom.subject),
-        RoleAssert(RoleAtom(PREDICATE), anchor, axiom.role.term),
-        RoleAssert(RoleAtom(OBJECT), anchor, axiom.object),
-    ]
-    out.extend(cx_of_annotation(ca, anchor))
-    return out
+# ---------------------------------------------------------------------------
+# The reification family: RDF, n-ary, n-ary-concept, singleton property
+# ---------------------------------------------------------------------------
 
 
 def derived_role(role: Term, position: int) -> Term:
@@ -235,49 +200,29 @@ def derived_concept(role: Term) -> Term:
     return Term.nc(f"C#{role.name}")
 
 
-def _nary_statement(axiom: Axiom, ca: ContextualAnnotation, concept_anchored: bool) -> list[Axiom]:
-    if not _atomic_role_assertion(axiom):
-        return _reified_passthrough(axiom)
-    anchor = statement_anchor(axiom, ca)
-    role = axiom.role.term
-    if concept_anchored:
-        out: list[Axiom] = [
-            ConceptAssert(ConceptAtom(derived_concept(role)), anchor),
-            RoleAssert(RoleAtom(derived_role(role, 1)), anchor, axiom.subject),
-            RoleAssert(RoleAtom(derived_role(role, 2)), anchor, axiom.object),
-        ]
-    else:
-        out = [
-            RoleAssert(RoleAtom(derived_role(role, 1)), axiom.subject, anchor),
-            RoleAssert(RoleAtom(derived_role(role, 2)), anchor, axiom.object),
-        ]
-    out.extend(cx_of_annotation(ca, anchor))
-    return out
-
-
-def _singleton_statement(axiom: Axiom, ca: ContextualAnnotation) -> list[Axiom]:
-    if not _atomic_role_assertion(axiom):
-        return _reified_passthrough(axiom)
-    anchor = statement_anchor(axiom, ca)
-    subject_nominal = Nominals((axiom.subject,))
-    image = Exists(RoleAtom(anchor), Nominals((axiom.object,)))
-    out: list[Axiom] = [
-        RoleAssert(RoleAtom(anchor), axiom.subject, axiom.object),
-        ConceptSub(subject_nominal, image),
-        ConceptSub(image, subject_nominal),
-        RoleAssert(RoleAtom(SINGLETON_PROPERTY_OF), anchor, axiom.role.term),
-    ]
-    out.extend(cx_of_annotation(ca, anchor))
-    return out
-
-
-_STATEMENT_TRANSFORMS = {
-    Strategy.ND_TERMS: _ndterms_statement,
-    Strategy.ND_FLUENTS: _ndfluents_statement,
-    Strategy.RDF_REIFICATION: _rdf_statement,
-    Strategy.NARY_TWO_ROLE: lambda ax, ca: _nary_statement(ax, ca, concept_anchored=False),
-    Strategy.NARY_CONCEPT_ANCHORED: lambda ax, ca: _nary_statement(ax, ca, concept_anchored=True),
-    Strategy.SINGLETON_PROPERTY: _singleton_statement,
+# Per strategy: the axioms standing in for the atomic role assertion
+# role(subject, object), given its per-statement anchor.
+_REIFICATIONS: dict[Strategy, Callable[[Term, Term, Term, Term], list[Axiom]]] = {
+    Strategy.RDF_REIFICATION: lambda anchor, role, subject, obj: [
+        RoleAssert(RoleAtom(SUBJECT), anchor, subject),
+        RoleAssert(RoleAtom(PREDICATE), anchor, role),
+        RoleAssert(RoleAtom(OBJECT), anchor, obj),
+    ],
+    Strategy.NARY_TWO_ROLE: lambda anchor, role, subject, obj: [
+        RoleAssert(RoleAtom(derived_role(role, 1)), subject, anchor),
+        RoleAssert(RoleAtom(derived_role(role, 2)), anchor, obj),
+    ],
+    Strategy.NARY_CONCEPT_ANCHORED: lambda anchor, role, subject, obj: [
+        ConceptAssert(ConceptAtom(derived_concept(role)), anchor),
+        RoleAssert(RoleAtom(derived_role(role, 1)), anchor, subject),
+        RoleAssert(RoleAtom(derived_role(role, 2)), anchor, obj),
+    ],
+    Strategy.SINGLETON_PROPERTY: lambda anchor, role, subject, obj: [
+        RoleAssert(RoleAtom(anchor), subject, obj),
+        ConceptSub(Nominals((subject,)), Exists(RoleAtom(anchor), Nominals((obj,)))),
+        ConceptSub(Exists(RoleAtom(anchor), Nominals((obj,))), Nominals((subject,))),
+        RoleAssert(RoleAtom(SINGLETON_PROPERTY_OF), anchor, role),
+    ],
 }
 
 
@@ -294,6 +239,33 @@ def contextualize(strategy: Strategy, annotated: AnnotatedInput) -> Ontology:
     An annotated ontology is handled statement by statement and the results
     are unioned (duplicates collapse, insertion order is kept).
     """
+    return _contextualize(strategy, annotated)
+
+
+def combine_contexts(inputs: Iterable[AnnotatedOntology], strategy: Strategy) -> Ontology:
+    """Union of per-context contextualizations; context ids must be distinct
+    so the renaming ranges cannot collide."""
+    items = list(inputs)
+    seen: set[str] = set()
+    for item in items:
+        cid = item.annotation.ctx_id
+        if cid in seen:
+            raise DuplicateContextIdError(cid)
+        seen.add(cid)
+    axioms: list[Axiom] = []
+    signature: set[Term] = set()
+    for item in items:  # no comprehension: its frame would shift the warnings' caller
+        part = _contextualize(strategy, item)
+        axioms.extend(part.axioms)
+        signature |= part.signature
+    return Ontology(axioms, signature)
+
+
+# Both entry points call `_contextualize` directly: their caller is 3 frames up.
+_CALLER = 3
+
+
+def _contextualize(strategy: Strategy, annotated: AnnotatedInput) -> Ontology:
     if isinstance(annotated, AnnotatedStatement):
         axioms: tuple[Axiom, ...] = (annotated.axiom,)
         base_signature = signature_of(annotated.axiom)
@@ -310,25 +282,20 @@ def contextualize(strategy: Strategy, annotated: AnnotatedInput) -> Ontology:
     if strategy is Strategy.ND_TERMS:
         overlap = frozenset(base_signature & ca.signature())
         if overlap:
-            warnings.warn(SignatureOverlapWarning(overlap), stacklevel=2)
+            warnings.warn(SignatureOverlapWarning(overlap), stacklevel=_CALLER)
 
-    transform = _STATEMENT_TRANSFORMS[strategy]
+    slicing = _SLICINGS.get(strategy)
+    reify = _REIFICATIONS.get(strategy)
     out: list[Axiom] = []
     for ax in axioms:
-        out.extend(transform(ax, ca))
+        if slicing is not None:
+            out.extend(_sliced_statement(slicing, ax, ca))
+        elif isinstance(ax, RoleAssert) and isinstance(ax.role, RoleAtom):
+            anchor = statement_anchor(ax, ca)
+            out.extend(reify(anchor, ax.role.term, ax.subject, ax.object))
+            out.extend(cx_of_annotation(ca, anchor))
+        else:
+            if isinstance(ax, RoleAssert):
+                warnings.warn(NonAtomicAssertionWarning(ax), stacklevel=_CALLER)
+            out.append(ax)
     return Ontology(out, base_signature)
-
-
-def combine_contexts(inputs: Iterable[AnnotatedOntology], strategy: Strategy) -> Ontology:
-    """Union of per-context contextualizations; context ids must be distinct
-    so the renaming ranges cannot collide."""
-    items = list(inputs)
-    seen: set[str] = set()
-    for item in items:
-        cid = item.annotation.ctx_id
-        if cid in seen:
-            raise DuplicateContextIdError(cid)
-        seen.add(cid)
-    parts = [contextualize(strategy, item) for item in items]
-    signature = frozenset().union(*(part.signature for part in parts))
-    return Ontology([ax for part in parts for ax in part.axioms], signature)

@@ -10,7 +10,8 @@ token boundary, so derived names like `capital#1` lex as one identifier.
 Serialization is canonical: one axiom per line in insertion order, single
 spacing, sorted model denotations. Parsing a serialized document yields a
 structurally identical document; a term whose name would not parse back as
-that term is refused with an UnprintableTermError.
+that term, and a context id that is no identifier, are refused with an
+UnprintableTermError.
 """
 
 from __future__ import annotations
@@ -99,12 +100,12 @@ class ParseError(ValueError):
 
 
 class UnprintableTermError(ValueError):
-    """A term whose name would not parse back as that term."""
+    """A term, or a context id, whose name would not parse back as itself."""
 
-    def __init__(self, term: Term):
-        super().__init__(
-            f"term {term.name!r} of kind {term.kind.name} has no text form: it would not parse back as itself"
-        )
+    def __init__(self, term: Term | str):
+        what = (f"context id {term!r}" if isinstance(term, str)
+                else f"term {term.name!r} of kind {term.kind.name}")
+        super().__init__(f"{what} has no text form: it would not parse back as itself")
         self.term = term
 
 
@@ -492,7 +493,7 @@ def parse(text: str) -> SourceDocument:
 @lru_cache(maxsize=4096)
 def _read_back(name: str) -> TermKind | None:
     """The kind of term `name` parses as, or None if it is no identifier."""
-    if name in RESERVED or not _IDENT_CHARS.issuperset(name):
+    if not name or name in RESERVED or not _IDENT_CHARS.issuperset(name):
         return None
     return infer_kind(name)
 
@@ -504,6 +505,13 @@ def _name(t: Term) -> str:
     return t.name
 
 
+def _ctx_id(ctx_id: str) -> str:
+    """A context id, which must parse back as an identifier."""
+    if _read_back(ctx_id) is None:
+        raise UnprintableTermError(ctx_id)
+    return ctx_id
+
+
 def expr_text(e: ConceptExpr | RoleExpr) -> str:
     if isinstance(e, (ConceptAtom, RoleAtom)):
         return _name(e.term)
@@ -512,7 +520,7 @@ def expr_text(e: ConceptExpr | RoleExpr) -> str:
     if isinstance(e, Bottom):
         return "bottom"
     if isinstance(e, TopCtx):
-        return f"ctxtop[{e.ctx_id}]"
+        return f"ctxtop[{_ctx_id(e.ctx_id)}]"
     if isinstance(e, Nominals):
         return f"oneof({', '.join(_name(u) for u in e.members)})"
     try:
@@ -553,7 +561,7 @@ def _ontology_lines(name: str, onto: Ontology) -> list[str]:
 
 
 def _annotation_lines(ca: ContextualAnnotation) -> list[str]:
-    lines = [f"annotation {ca.ctx_id} anchor {_name(ca.anchor)} {{"]
+    lines = [f"annotation {_ctx_id(ca.ctx_id)} anchor {_name(ca.anchor)} {{"]
     lines.extend(f"  {axiom_text(ax)} ." for ax in ca.abox)
     lines.append("}")
     return lines
@@ -568,7 +576,7 @@ def _model_lines(name: str, interp: Interpretation) -> list[str]:
     for t in sorted(interp.role, key=Term.sort_key):
         lines.append(f"  role {_name(t)} = {_pair_set_text(interp.role[t])} .")
     for cid in sorted(interp.top_ctx):
-        lines.append(f"  ctxtop {cid} = {_element_set_text(interp.top_ctx[cid])} .")
+        lines.append(f"  ctxtop {_ctx_id(cid)} = {_element_set_text(interp.top_ctx[cid])} .")
     lines.append("}")
     return lines
 

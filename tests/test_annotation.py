@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctxdl.annotation import (
+    AnnotationError,
     DisconnectedError,
     NotAnABoxError,
     connected_individuals,
@@ -122,6 +123,11 @@ class TestValidateAnnotation:
     def test_context_id_override(self):
         ca = validate_annotation(nc("a"), [cassert("C", "a")], ctx_id="mine")
         assert ca.ctx_id == "mine"
+
+    @pytest.mark.parametrize("ctx_id", ["", "my ctx", " ", "a\tb", "x\n"])
+    def test_context_id_without_a_term_name_shape_rejected(self, ctx_id):
+        with pytest.raises(AnnotationError, match="context id"):
+            validate_annotation(nc("a"), [cassert("C", "a")], ctx_id=ctx_id)
 
     def test_validity_iff_all_individuals_reach_anchor(self):
         rng = random.Random(9)

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -37,6 +38,7 @@ from ctxdl.strategies import (
     cx_of_annotation,
     statement_anchor,
 )
+from ctxdl.textio import axiom_text, parse
 
 from conftest import cassert, catom, nc, rassert, ratom
 
@@ -290,3 +292,115 @@ class TestCombine:
         )
         names = {t.name for t in combined.signature}
         assert {"C@CA", "x@CA", "C@CB", "x@CB"} <= names
+
+
+# Rewrite edge cases: a context top of a foreign context in a TBox axiom and
+# in an assertion, a punned t(t), a role that is also its own subject, a
+# two-member nominal, and a non-atomic role assertion.
+EDGE = parse("""ontology edge {
+  ctxtop[X] sub C .
+  and(C, ctxtop[X])(a) .
+  t(t) .
+  r(r, a) .
+  exists(r, oneof(a, t))(b) .
+  inv(r)(a, t) .
+}""").ontologies()[0]
+
+REIFIED = {
+    Strategy.RDF_REIFICATION: [
+        "subject(st@K1@0fa0c132, r)",
+        "predicate(st@K1@0fa0c132, r)",
+        "object(st@K1@0fa0c132, a)",
+    ],
+    Strategy.NARY_TWO_ROLE: ["r#1(r, st@K1@0fa0c132)", "r#2(st@K1@0fa0c132, a)"],
+    Strategy.NARY_CONCEPT_ANCHORED: [
+        "C#r(st@K1@0fa0c132)",
+        "r#1(st@K1@0fa0c132, r)",
+        "r#2(st@K1@0fa0c132, a)",
+    ],
+    Strategy.SINGLETON_PROPERTY: [
+        "st@K1@0fa0c132(r, a)",
+        "oneof(r) sub exists(st@K1@0fa0c132, oneof(a))",
+        "exists(st@K1@0fa0c132, oneof(a)) sub oneof(r)",
+        "singletonPropertyOf(st@K1@0fa0c132, r)",
+    ],
+}
+
+
+class TestEdgeRewrites:
+    def lines(self, strategy, annotation):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonAtomicAssertionWarning)
+            out = contextualize(strategy, AnnotatedOntology(EDGE, annotation))
+        return [axiom_text(ax) for ax in out.axioms]
+
+    def links(self, terms):
+        return {f"{link}({t}@K1, {target})" for t in terms
+                for link, target in (("isContextualPartOf", t), ("isInContext", "ctx@K1"))}
+
+    def test_ndterms_slices_every_term_and_foreign_context_top(self, small_annotation):
+        lines = self.lines(Strategy.ND_TERMS, small_annotation)
+        statements = [
+            "top@X sub C@K1",
+            "and(C@K1, top@X)(a@K1)",
+            "t@K1(t@K1)",
+            "r@K1(r@K1, a@K1)",
+            "exists(r@K1, oneof(a@K1, t@K1))(b@K1)",
+            "inv(r@K1)(a@K1, t@K1)",
+        ]
+        assert [line for line in lines if line in statements] == statements
+        assert self.links("Catrb") <= set(lines)
+        assert "top@K1(r@K1)" in lines and "top sub forall(r@K1, top@K1)" in lines
+        assert not any("ctxtop" in line for line in lines)
+        assert len(lines) == 6 + 5 * (4 + 2) + 2
+
+    def test_ndfluents_leaves_context_tops_and_atoms_alone(self, small_annotation):
+        lines = self.lines(Strategy.ND_FLUENTS, small_annotation)
+        assert lines == [
+            "ctxtop[X] sub C",
+            "source(ctx@K1, doc)",
+            "Document(doc)",
+            "and(C, ctxtop[X])(a@K1)",
+            *sorted(self.links("a")),
+            "t(t@K1)",
+            *sorted(self.links("t")),
+            "r(r@K1, a@K1)",
+            *sorted(self.links("r")),
+            "exists(r, oneof(a@K1, t@K1))(b@K1)",
+            *sorted(self.links("b")),
+            "inv(r)(a@K1, t@K1)",
+        ]
+
+    @pytest.mark.parametrize("strategy", list(REIFIED), ids=lambda s: s.value)
+    def test_reifications_pass_everything_but_the_atomic_role_assertion(self, strategy, small_annotation):
+        lines = self.lines(strategy, small_annotation)
+        assert lines == [
+            "ctxtop[X] sub C",
+            "and(C, ctxtop[X])(a)",
+            "t(t)",
+            *REIFIED[strategy],
+            "source(st@K1@0fa0c132, doc)",
+            "Document(doc)",
+            "exists(r, oneof(a, t))(b)",
+            "inv(r)(a, t)",
+        ]
+
+
+class TestWarningsNameTheCaller:
+    """Every strategy's warnings point at the line that called the public
+    entry point, whether that is `contextualize` or `combine_contexts`."""
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_contextualize_and_combine(self, strategy, babylon_annotation, small_annotation):
+        pairs = [AnnotatedOntology(EDGE, babylon_annotation), AnnotatedOntology(EDGE, small_annotation)]
+        # NdTerms warns once, as EDGE shares `a` and `t` with the running
+        # example only; a reification warns once per context, about
+        # inv(r)(a, t); NdFluents never warns.
+        single, combined = {Strategy.ND_TERMS: (1, 1), Strategy.ND_FLUENTS: (0, 0)}.get(strategy, (1, 2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            contextualize(strategy, pairs[0])
+            assert len(caught) == single
+            combine_contexts(pairs, strategy)
+            assert len(caught) == single + combined
+        assert [w.filename for w in caught] == [__file__] * len(caught)

@@ -31,6 +31,7 @@ from ctxdl.textio import (
     BlockKind,
     ParseError,
     SourceDocument,
+    UnprintableTermError,
     axiom_text,
     expr_text,
     parse,
@@ -243,3 +244,39 @@ class TestUnprintableTerms:
         interp = Interpretation(1, {t: 0 for t in terms}, {t: frozenset({0}) for t in terms})
         [model] = parse(serialize(interp, "m")).models()
         assert model == interp
+
+
+UNPRINTABLE_CONTEXT_IDS = ["top", "a.b", "sub", "a-b"]
+
+
+class TestUnprintableContextIds:
+    """A context id is printed where the parser reads an identifier: the
+    annotation header, `ctxtop[...]` and a model's `ctxtop` line. One that
+    is no identifier, or a reserved word, is refused."""
+
+    @pytest.mark.parametrize("ctx_id", UNPRINTABLE_CONTEXT_IDS)
+    def test_in_an_annotation_header(self, ctx_id):
+        ca = validate_annotation(nc("u"), [rassert("R", "u", "v")], ctx_id=ctx_id)
+        with pytest.raises(UnprintableTermError, match=f"context id {ctx_id!r}"):
+            serialize(ca)
+
+    @pytest.mark.parametrize("ctx_id", UNPRINTABLE_CONTEXT_IDS)
+    def test_in_a_context_top(self, ctx_id):
+        with pytest.raises(UnprintableTermError, match=f"context id {ctx_id!r}"):
+            serialize(Ontology([ConceptSub(TopCtx(ctx_id), catom("C"))]))
+        with pytest.raises(UnprintableTermError, match=f"context id {ctx_id!r}"):
+            serialize(Ontology([ConceptAssert(TopCtx(ctx_id), nc("a"))]))
+
+    @pytest.mark.parametrize("ctx_id", UNPRINTABLE_CONTEXT_IDS)
+    def test_in_a_model(self, ctx_id):
+        with pytest.raises(UnprintableTermError, match=f"context id {ctx_id!r}"):
+            serialize(Interpretation(1, {}, {}, {}, {ctx_id: frozenset({0})}), "m")
+
+    def test_identifier_context_ids_round_trip(self):
+        ca = validate_annotation(nc("u"), [rassert("R", "u", "v")], ctx_id="c@1#x")
+        onto = Ontology([ConceptSub(TopCtx("c@1#x"), catom("C"))])
+        interp = Interpretation(1, {}, {}, {}, {"c@1#x": frozenset({0})})
+        [back] = parse(serialize(ca)).annotations()
+        assert back == ca
+        assert parse(serialize(onto)).ontologies() == [onto]
+        assert parse(serialize(interp, "m")).models() == [interp]
