@@ -24,7 +24,12 @@ from ``tests/generators.random_document_ontology``, an annotation block and
 a model block) one line holds the serialized text and the ``stable_hash`` of
 its parse, and for 3000 seeded mutations of those texts (a truncation or an
 inserted token) one line holds the parse error, or the ``stable_hash`` of
-the parse when the mutation still parses.
+the parse when the mutation still parses. The lexer's edge cases get the
+same two kinds of line for a variant of each of the first 500 documents
+(a ``# comment`` line inserted, spaces turned into tabs or no-break spaces,
+and for about half of them ``\\n`` line ends turned into ``\\r\\n``) and
+for that variant with a token inserted; they are drawn from a generator of
+their own, so the lines before them do not depend on them.
 
 The rewrite and text lines go to ``verdicts.jsonl`` too.
 
@@ -225,6 +230,21 @@ def main(checkout: Path, out_dir: Path) -> None:
             else:
                 mutated = f"{text[:cut]} {rng.choice(tokens)} {text[cut:]}"
             emit_text(f"mutation/{i}", mutated)
+        # The lexer's edge cases, from a generator of their own so that every
+        # line above stays as it was: each of the first 500 documents with a
+        # comment line inserted, its spaces turned into tabs or no-break
+        # spaces and, for some, its line ends into CRLF; then that variant
+        # with a token inserted, as the mutations do.
+        rng = random.Random(20261018)
+        for i, text in enumerate(texts[:500]):
+            lines = text.split("\n")
+            lines.insert(rng.randrange(len(lines) + 1), "# comment")
+            variant = "\n".join(lines).replace(" ", rng.choice(["\t", "\u00a0"]))
+            if rng.random() < 0.5:
+                variant = variant.replace("\n", "\r\n")
+            emit_text(f"variant/{i}", variant)
+            cut = rng.randrange(len(variant))
+            emit_text(f"variant/{i}/mutation", f"{variant[:cut]}\t{rng.choice(tokens)}\u00a0{variant[cut:]}")
 
 
 if __name__ == "__main__":

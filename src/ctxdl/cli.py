@@ -205,7 +205,7 @@ def _exit_code(record: dict) -> int:
 def _cmd_contextualize(args) -> int:
     annotated = AnnotatedOntology(_load_ontology(args.ontology), _load_annotation(args.annotation))
     result = contextualize(args.strategy, annotated)
-    Path(args.out).write_text(serialize(result, "out"), encoding="utf-8")
+    _write_atomic(args.out, serialize(result, "out"))
     record = _record("contextualize", "ok", None, strategy=args.strategy.value, axioms=len(result.axioms))
     _emit(record, args.report, None)
     print(f"wrote {len(result.axioms)} axioms to {args.out}")
@@ -275,7 +275,7 @@ def _cmd_combine(args) -> int:
         ont_path, ann_path = pair.split(":", 1)
         inputs.append(AnnotatedOntology(_load_ontology(ont_path), _load_annotation(ann_path)))
     result = combine_contexts(inputs, args.strategy)
-    Path(args.out).write_text(serialize(result, "combined"), encoding="utf-8")
+    _write_atomic(args.out, serialize(result, "combined"))
     record = _record("combine", "ok", None, strategy=args.strategy.value, axioms=len(result.axioms))
     _emit(record, args.report, None)
     print(f"wrote {len(result.axioms)} axioms to {args.out}")

@@ -154,9 +154,9 @@ _SLICINGS = {
 def _sliced_statement(slicing: _Slicing, axiom: Axiom, ca: ContextualAnnotation) -> list[Axiom]:
     """The statement with its sliced positions renamed into the context,
     followed by the links of each sliced term to its original
-    (isContextualPartOf) and to the context anchor (isInContext), and by the
-    context part. Duplicates are left to the final ontology: the renaming is
-    injective, so they collapse there just the same."""
+    (isContextualPartOf) and to the context anchor (isInContext).
+    Duplicates are left to the final ontology: the renaming is injective, so
+    they collapse there just the same."""
     scheme = RenamingScheme(ca.ctx_id)
     sliced: set[Term] = set()
     # Only individuals of assertions: context tops, atoms and TBox axioms stay.
@@ -183,7 +183,6 @@ def _sliced_statement(slicing: _Slicing, axiom: Axiom, ca: ContextualAnnotation)
     terms = sorted(sliced, key=Term.sort_key)
     out.extend(RoleAssert(RoleAtom(IS_CONTEXTUAL_PART_OF), scheme.rename(t), t) for t in terms)
     out.extend(RoleAssert(RoleAtom(IS_IN_CONTEXT), scheme.rename(t), ctx_anchor) for t in terms)
-    out.extend(cx_of_annotation(ca, ctx_anchor))
     return out
 
 
@@ -287,9 +286,11 @@ def _contextualize(strategy: Strategy, annotated: AnnotatedInput) -> Ontology:
     slicing = _SLICINGS.get(strategy)
     reify = _REIFICATIONS.get(strategy)
     out: list[Axiom] = []
-    for ax in axioms:
+    for i, ax in enumerate(axioms):
         if slicing is not None:
             out.extend(_sliced_statement(slicing, ax, ca))
+            if i == 0:  # the context part, once, where the first statement's copy stood
+                out.extend(cx_of_annotation(ca, annotation_anchor(ca)))
         elif isinstance(ax, RoleAssert) and isinstance(ax.role, RoleAtom):
             anchor = statement_anchor(ax, ca)
             out.extend(reify(anchor, ax.role.term, ax.subject, ax.object))

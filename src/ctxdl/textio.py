@@ -7,15 +7,24 @@ starting with `ctx@` or `st@` are anchors, other names containing `@` are
 contextual, everything else is non-contextual. `#` opens a comment only at a
 token boundary, so derived names like `capital#1` lex as one identifier.
 
+One compiled pattern lexes the whole input into `(text, offset, is_ident)`
+tokens; a line and column are worked out from an offset only for an error
+and for a block's span. One reader takes an expression of the sorts its
+position allows: a concept, a role, or either for the first operand of an
+axiom, whose sort the token after it settles. One comma-list reader serves
+compound forms, `oneof(...)` and element sets; a model's pair set keeps its
+own loop, which also takes a trailing comma.
+
 Serialization is canonical: one axiom per line in insertion order, single
 spacing, sorted model denotations. Parsing a serialized document yields a
 structurally identical document; a term whose name would not parse back as
-that term, and a context id that is no identifier, are refused with an
-UnprintableTermError.
+that term, and a context id or block name that is no identifier, are refused
+with an UnprintableTermError.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -79,14 +88,19 @@ _FORMS: dict[str, tuple[type, str]] = {
 }
 _FORM_OF = {ctor: (keyword, sorts) for keyword, (ctor, sorts) in _FORMS.items()}
 
-_ROLE_KEYWORDS = frozenset(k for k, (ctor, _) in _FORMS.items() if ctor in get_args(RoleExpr))
-_CONCEPT_KEYWORDS = frozenset(_FORMS).difference(_ROLE_KEYWORDS) | {"top", "bottom", "ctxtop", "oneof"}
+# The sort of the expression each keyword starts.
+_SORT_OF = {keyword: "r" if ctor in get_args(RoleExpr) else "c" for keyword, (ctor, _) in _FORMS.items()}
+_SORT_OF.update(top="c", bottom="c", ctxtop="c", oneof="c")
 
-RESERVED = frozenset(
-    "ontology annotation model anchor sub rsub domain indiv conc role".split()
-) | _CONCEPT_KEYWORDS | _ROLE_KEYWORDS
+# Per sort: its noun, its atom's constructor and its expression types.
+_SORTS = {"c": ("concept", ConceptAtom, get_args(ConceptExpr)), "r": ("role", RoleAtom, get_args(RoleExpr))}
 
-_IDENT_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_#@")
+RESERVED = frozenset("ontology annotation model anchor sub rsub domain indiv conc role".split()) | frozenset(_SORT_OF)
+
+_IDENT = re.compile(r"[A-Za-z0-9_#@]+")
+# Whitespace, a comment, punctuation (group 1), an identifier (group 2), or
+# any other character (group 3), tried in that order at each offset.
+_TOKEN = re.compile(r"\s+|#[^\n]*|([{}(),.=\[\]])|(" + _IDENT.pattern + r")|(.)", re.S)
 
 
 class ParseError(ValueError):
@@ -100,10 +114,10 @@ class ParseError(ValueError):
 
 
 class UnprintableTermError(ValueError):
-    """A term, or a context id, whose name would not parse back as itself."""
+    """A term, context id or block name that would not parse back as itself."""
 
-    def __init__(self, term: Term | str):
-        what = (f"context id {term!r}" if isinstance(term, str)
+    def __init__(self, term: Term | str, what: str = "context id"):
+        what = (f"{what} {term!r}" if isinstance(term, str)
                 else f"term {term.name!r} of kind {term.kind.name}")
         super().__init__(f"{what} has no text form: it would not parse back as itself")
         self.term = term
@@ -157,50 +171,19 @@ class SourceDocument:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    col: int
-    is_ident: bool = False
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The line and column of `offset`, both from 1; only `\\n` ends a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            # comment: runs to end of line ('#' inside identifiers is consumed
-            # by the ident scanner below and never reaches here mid-token)
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "{}(),.=[]":
-            tokens.append(_Token(ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _IDENT_CHARS:
-            start = i
-            start_col = col
-            while i < n and text[i] in _IDENT_CHARS:
-                i += 1
-                col += 1
-            tokens.append(_Token(text[start:i], line, start_col, is_ident=True))
-            continue
-        raise ParseError(line, col, f"unexpected character {ch!r}")
+def _tokenize(text: str) -> list[tuple[str, int, bool]]:
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 3:
+            raise ParseError(*_position(text, m.start()), f"unexpected character {m.group()!r}")
+        if group:
+            tokens.append((m.group(), m.start(), group == 2))
     return tokens
 
 
@@ -210,155 +193,145 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def _error(self, message: str, expected: Iterable[str] = ()) -> ParseError:
         if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            return ParseError(tok.line, tok.col, message, frozenset(expected))
-        last = self.tokens[-1] if self.tokens else None
-        line = last.line if last else 1
-        col = last.col + len(last.text) if last else 1
-        return ParseError(line, col, f"unexpected end of input: {message}", frozenset(expected))
+            offset = self.tokens[self.pos][1]
+        else:
+            message = f"unexpected end of input: {message}"
+            last, offset, _ = self.tokens[-1] if self.tokens else ("", 0, False)
+            offset += len(last)
+        return ParseError(*_position(self.text, offset), message, frozenset(expected))
 
-    def peek(self) -> _Token | None:
+    def peek(self) -> tuple[str, int, bool] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise self._error("token expected")
-        self.pos += 1
-        return tok
+    def _at(self, text: str) -> bool:
+        return self.pos < len(self.tokens) and self.tokens[self.pos][0] == text
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.text != text:
+    def _take(self, text: str) -> bool:
+        """Consume the next token if it is `text`."""
+        if self._at(text):
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, text: str) -> None:
+        if not self._take(text):
             raise self._error(f"expected {text!r}", {text})
-        return self.next()
 
-    def ident(self, what: str = "identifier") -> _Token:
+    def ident(self, what: str = "identifier") -> str:
         tok = self.peek()
-        if tok is None or not tok.is_ident or tok.text in RESERVED:
+        if tok is None or not tok[2] or tok[0] in RESERVED:
             raise self._error(f"expected {what}", {what})
-        return self.next()
+        self.pos += 1
+        return tok[0]
 
     def nat(self, what: str = "natural number") -> int:
         tok = self.peek()
-        if tok is None or not tok.is_ident or not tok.text.isdigit():
+        if tok is None or not tok[2] or not tok[0].isdigit():
             raise self._error(f"expected {what}", {what})
-        self.next()
-        return int(tok.text)
+        self.pos += 1
+        return int(tok[0])
+
+    def _list(self, open_: str, close: str, read, sorts: str = "", empty: bool = False) -> list:
+        """`open item, ..., item close`, each item read by `read(sort)`: one
+        per letter of `sorts`, or, without sorts, one more while a comma
+        follows (and none if `empty` and the list closes at once)."""
+        self.expect(open_)
+        items = []
+        if not (empty and (self.peek() is None or self._at(close))):
+            while True:
+                items.append(read(sorts[len(items):len(items) + 1]))  # "" without sorts
+                if len(items) == len(sorts) or not sorts and not self._at(","):
+                    break
+                self.expect(",")
+        self.expect(close)
+        return items
 
     # -- documents ----------------------------------------------------------
 
     def document(self) -> SourceDocument:
         blocks: list[Block] = []
-        while self.peek() is not None:
+        while self.pos < len(self.tokens):
             blocks.append(self.block())
         return SourceDocument(tuple(blocks))
 
     def block(self) -> Block:
-        tok = self.peek()
-        if tok is None or tok.text not in ("ontology", "annotation", "model"):
+        keyword, offset, _ = self.tokens[self.pos]
+        if keyword not in ("ontology", "annotation", "model"):
             raise self._error("expected a block", {"ontology", "annotation", "model"})
-        span = (tok.line, tok.col)
-        if tok.text == "ontology":
-            self.next()
-            name = self.ident("ontology name").text
-            axioms = self._axiom_body()
-            return Block(BlockKind.ONTOLOGY, name, Ontology(axioms), span)
-        if tok.text == "annotation":
-            self.next()
-            name = self.ident("annotation name").text
-            self.expect("anchor")
-            anchor = _term(self.ident("anchor term").text)
-            axioms = self._axiom_body()
-            try:
-                ca = validate_annotation(anchor, axioms, ctx_id=name)
-            except AnnotationError as exc:
-                raise ParseError(span[0], span[1], f"invalid annotation {name!r}: {exc}") from exc
-            return Block(BlockKind.ANNOTATION, name, ca, span)
-        self.next()
-        name = self.ident("model name").text
-        interp = self._model_body()
-        return Block(BlockKind.MODEL, name, interp, span)
+        kind = BlockKind(keyword)
+        span = _position(self.text, offset)
+        self.pos += 1
+        name = self.ident(f"{keyword} name")
+        if kind is BlockKind.ONTOLOGY:
+            return Block(kind, name, Ontology(self._axiom_body()), span)
+        if kind is BlockKind.MODEL:
+            return Block(kind, name, self._model_body(), span)
+        self.expect("anchor")
+        anchor = _term(self.ident("anchor term"))
+        axioms = self._axiom_body()
+        try:
+            ca = validate_annotation(anchor, axioms, ctx_id=name)
+        except AnnotationError as exc:
+            raise ParseError(*span, f"invalid annotation {name!r}: {exc}") from exc
+        return Block(kind, name, ca, span)
 
     def _axiom_body(self) -> list[Axiom]:
         self.expect("{")
         axioms: list[Axiom] = []
-        while True:
-            tok = self.peek()
-            if tok is None:
+        while not self._take("}"):
+            if self.peek() is None:
                 raise self._error("unterminated block", {"}"})
-            if tok.text == "}":
-                self.next()
-                return axioms
             axioms.append(self.axiom())
             self.expect(".")
+        return axioms
 
     def _model_body(self) -> Interpretation:
         self.expect("{")
         self.expect("domain")
         size = self.nat("domain size")
         self.expect(".")
-        indiv: dict[Term, int] = {}
-        conc: dict[Term, frozenset[int]] = {}
-        role: dict[Term, frozenset[tuple[int, int]]] = {}
-        top_ctx: dict[str, frozenset[int]] = {}
-        while True:
+        tables: dict[str, dict] = {"indiv": {}, "conc": {}, "role": {}, "ctxtop": {}}
+        while not self._take("}"):
             tok = self.peek()
             if tok is None:
                 raise self._error("unterminated model block", {"}"})
-            if tok.text == "}":
-                self.next()
-                break
-            kind = tok.text
-            if kind not in ("indiv", "conc", "role", "ctxtop"):
-                raise self._error("expected a denotation line", {"indiv", "conc", "role", "ctxtop", "}"})
-            self.next()
-            name = self.ident("term").text
+            kind = tok[0]
+            if kind not in tables:
+                raise self._error("expected a denotation line", {*tables, "}"})
+            self.pos += 1
+            name = self.ident("term")
             self.expect("=")
             if kind == "indiv":
-                indiv[_term(name)] = self.nat()
-            elif kind == "conc":
-                conc[_term(name)] = self._element_set()
+                value = self.nat()
             elif kind == "role":
-                role[_term(name)] = self._pair_set()
+                value = self._pair_set()
             else:
-                top_ctx[name] = self._element_set()
+                value = frozenset(self._list("{", "}", lambda _: self.nat(), empty=True))
+            tables[kind][name if kind == "ctxtop" else _term(name)] = value
             self.expect(".")
         try:
-            return Interpretation(size, indiv, conc, role, top_ctx)
+            return Interpretation(size, *tables.values())
         except ValueError as exc:
             raise self._error(f"inconsistent model block: {exc}") from exc
-
-    def _element_set(self) -> frozenset[int]:
-        self.expect("{")
-        out: set[int] = set()
-        if self.peek() is not None and self.peek().text != "}":
-            out.add(self.nat())
-            while self.peek() is not None and self.peek().text == ",":
-                self.next()
-                out.add(self.nat())
-        self.expect("}")
-        return frozenset(out)
 
     def _pair_set(self) -> frozenset[tuple[int, int]]:
         self.expect("{")
         out: set[tuple[int, int]] = set()
-        while self.peek() is not None and self.peek().text != "}":
+        while self.peek() is not None and not self._at("}"):
             self.expect("(")
             x = self.nat()
             self.expect(",")
             y = self.nat()
             self.expect(")")
             out.add((x, y))
-            if self.peek() is not None and self.peek().text == ",":
-                self.next()
-            else:
+            if not self._take(","):
                 break
         self.expect("}")
         return frozenset(out)
@@ -366,123 +339,64 @@ class _Parser:
     # -- axioms and expressions ----------------------------------------------
 
     def axiom(self) -> Axiom:
-        operand = self._operand()
-        tok = self.peek()
-        if tok is None:
+        operand = self.expr("cr")
+        if self.peek() is None:
             raise self._error("incomplete axiom", {"sub", "rsub", "("})
-        if tok.text == "sub":
-            self.next()
-            return ConceptSub(self._as_concept(operand), self.concept())
-        if tok.text == "rsub":
-            self.next()
-            return RoleSub(self._as_role(operand), self.role())
-        if tok.text == "(":
-            self.next()
-            first = _term(self.ident("individual").text)
-            if self.peek() is not None and self.peek().text == ",":
-                self.next()
-                second = _term(self.ident("individual").text)
+        if self._take("sub"):
+            return ConceptSub(self._as(operand, "c"), self.expr("c"))
+        if self._take("rsub"):
+            return RoleSub(self._as(operand, "r"), self.expr("r"))
+        if self._take("("):
+            first = _term(self.ident("individual"))
+            if self._take(","):
+                second = _term(self.ident("individual"))
                 self.expect(")")
-                return RoleAssert(self._as_role(operand), first, second)
+                return RoleAssert(self._as(operand, "r"), first, second)
             self.expect(")")
-            return ConceptAssert(self._as_concept(operand), first)
+            return ConceptAssert(self._as(operand, "c"), first)
         raise self._error("expected 'sub', 'rsub' or an assertion", {"sub", "rsub", "("})
 
-    def _operand(self):
-        tok = self.peek()
-        if tok is None:
-            raise self._error("expression expected")
-        if tok.text in _CONCEPT_KEYWORDS:
-            return ("concept", self.concept())
-        if tok.text in _ROLE_KEYWORDS:
-            return ("role", self.role())
-        if tok.is_ident and tok.text not in RESERVED:
-            self.next()
-            return ("name", _term(tok.text))
-        raise self._error("expression expected")
-
-    def _as_concept(self, operand) -> ConceptExpr:
-        tag, value = operand
-        if tag == "concept":
-            return value
-        if tag == "name":
-            return ConceptAtom(value)
-        raise self._error("role expression where a concept is required")
-
-    def _as_role(self, operand) -> RoleExpr:
-        tag, value = operand
-        if tag == "role":
-            return value
-        if tag == "name":
-            return RoleAtom(value)
-        raise self._error("concept expression where a role is required")
-
-    def concept(self) -> ConceptExpr:
-        tok = self.peek()
-        if tok is None:
-            raise self._error("concept expected")
-        text = tok.text
+    def expr(self, sorts: str):
+        """An expression of one of `sorts`: "c" a concept, "r" a role, "cr"
+        either, where a bare name stays a Term until `_as` gives it its
+        sort, and "n" a natural number."""
+        if sorts == "n":
+            return self.nat("cardinality")
+        text, _, is_ident = self.peek() or ("", 0, False)
+        sort = _SORT_OF.get(text)
+        if sort is None and is_ident and text not in RESERVED:
+            self.pos += 1
+            return self._as(_term(text), sorts) if sorts in _SORTS else _term(text)
+        if sort is None or sort not in sorts:
+            raise self._error(f"{_SORTS[sorts][0]} expected" if sorts in _SORTS else "expression expected")
+        self.pos += 1
         if text == "top":
-            self.next()
             return Top()
         if text == "bottom":
-            self.next()
             return Bottom()
         if text == "ctxtop":
-            self.next()
             self.expect("[")
-            ctx_id = self.ident("context id").text
+            ctx_id = self.ident("context id")
             self.expect("]")
             return TopCtx(ctx_id)
         if text == "oneof":
-            self.next()
-            self.expect("(")
-            members = [_term(self.ident("individual").text)]
-            while self.peek() is not None and self.peek().text == ",":
-                self.next()
-                members.append(_term(self.ident("individual").text))
-            self.expect(")")
-            return Nominals(tuple(members))
-        if text in _CONCEPT_KEYWORDS:
-            return self._form(text)
-        if tok.is_ident and text not in RESERVED:
-            self.next()
-            return ConceptAtom(_term(text))
-        raise self._error("concept expected")
+            return Nominals(tuple(self._list("(", ")", lambda _: _term(self.ident("individual")))))
+        ctor, arg_sorts = _FORMS[text]
+        return ctor(*self._list("(", ")", self.expr, arg_sorts))
 
-    def role(self) -> RoleExpr:
-        tok = self.peek()
-        if tok is None:
-            raise self._error("role expected")
-        text = tok.text
-        if text in _ROLE_KEYWORDS:
-            return self._form(text)
-        if tok.is_ident and text not in RESERVED:
-            self.next()
-            return RoleAtom(_term(text))
-        raise self._error("role expected")
-
-    def _form(self, keyword: str):
-        """`keyword(arg, ...)`, its arguments read by their sorts."""
-        ctor, sorts = _FORMS[keyword]
-        self.next()
-        self.expect("(")
-        args = []
-        for i, sort in enumerate(sorts):
-            if i:
-                self.expect(",")
-            if sort == "c":
-                args.append(self.concept())
-            elif sort == "r":
-                args.append(self.role())
-            else:
-                args.append(self.nat("cardinality"))
-        self.expect(")")
-        return ctor(*args)
+    def _as(self, operand, sort: str):
+        """`operand`, a bare name or an expression, as an expression of `sort`."""
+        noun, atom, types = _SORTS[sort]
+        if isinstance(operand, Term):
+            return atom(operand)
+        if isinstance(operand, types):
+            return operand
+        other = "role" if sort == "c" else "concept"
+        raise self._error(f"{other} expression where a {noun} is required")
 
 
 def parse(text: str) -> SourceDocument:
-    return _Parser(_tokenize(text)).document()
+    return _Parser(text).document()
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +407,7 @@ def parse(text: str) -> SourceDocument:
 @lru_cache(maxsize=4096)
 def _read_back(name: str) -> TermKind | None:
     """The kind of term `name` parses as, or None if it is no identifier."""
-    if not name or name in RESERVED or not _IDENT_CHARS.issuperset(name):
+    if name in RESERVED or not _IDENT.fullmatch(name):
         return None
     return infer_kind(name)
 
@@ -505,11 +419,11 @@ def _name(t: Term) -> str:
     return t.name
 
 
-def _ctx_id(ctx_id: str) -> str:
-    """A context id, which must parse back as an identifier."""
-    if _read_back(ctx_id) is None:
-        raise UnprintableTermError(ctx_id)
-    return ctx_id
+def _ident(name: str, what: str) -> str:
+    """A context id or block name, which must parse back as an identifier."""
+    if _read_back(name) is None:
+        raise UnprintableTermError(name, what)
+    return name
 
 
 def expr_text(e: ConceptExpr | RoleExpr) -> str:
@@ -520,7 +434,7 @@ def expr_text(e: ConceptExpr | RoleExpr) -> str:
     if isinstance(e, Bottom):
         return "bottom"
     if isinstance(e, TopCtx):
-        return f"ctxtop[{_ctx_id(e.ctx_id)}]"
+        return f"ctxtop[{_ident(e.ctx_id, 'context id')}]"
     if isinstance(e, Nominals):
         return f"oneof({', '.join(_name(u) for u in e.members)})"
     try:
@@ -545,58 +459,35 @@ def axiom_text(ax: Axiom) -> str:
     raise TypeError(f"not an axiom: {ax!r}")
 
 
-def _element_set_text(values: frozenset[int]) -> str:
-    return "{" + ", ".join(str(v) for v in sorted(values)) + "}"
+def _set_text(values: frozenset) -> str:
+    """A sorted element or pair set; a pair prints as the tuple `(x, y)`."""
+    return "{" + ", ".join(map(str, sorted(values))) + "}"
 
 
-def _pair_set_text(values: frozenset[tuple[int, int]]) -> str:
-    return "{" + ", ".join(f"({x}, {y})" for x, y in sorted(values)) + "}"
-
-
-def _ontology_lines(name: str, onto: Ontology) -> list[str]:
-    lines = [f"ontology {name} {{"]
-    lines.extend(f"  {axiom_text(ax)} ." for ax in onto.axioms)
-    lines.append("}")
-    return lines
-
-
-def _annotation_lines(ca: ContextualAnnotation) -> list[str]:
-    lines = [f"annotation {_ctx_id(ca.ctx_id)} anchor {_name(ca.anchor)} {{"]
-    lines.extend(f"  {axiom_text(ax)} ." for ax in ca.abox)
-    lines.append("}")
-    return lines
-
-
-def _model_lines(name: str, interp: Interpretation) -> list[str]:
-    lines = [f"model {name} {{", f"  domain {interp.size} ."]
-    for t in sorted(interp.indiv, key=Term.sort_key):
-        lines.append(f"  indiv {_name(t)} = {interp.indiv[t]} .")
-    for t in sorted(interp.conc, key=Term.sort_key):
-        lines.append(f"  conc {_name(t)} = {_element_set_text(interp.conc[t])} .")
-    for t in sorted(interp.role, key=Term.sort_key):
-        lines.append(f"  role {_name(t)} = {_pair_set_text(interp.role[t])} .")
-    for cid in sorted(interp.top_ctx):
-        lines.append(f"  ctxtop {_ctx_id(cid)} = {_element_set_text(interp.top_ctx[cid])} .")
-    lines.append("}")
-    return lines
+def _lines(value: Payload, name: str) -> list[str]:
+    """The lines of the block holding `value`; an annotation is named by its context id."""
+    if isinstance(value, Interpretation):
+        lines = [f"model {_ident(name, 'block name')} {{", f"  domain {value.size} ."]
+        lines.extend(f"  indiv {_name(t)} = {value.indiv[t]} ." for t in sorted(value.indiv, key=Term.sort_key))
+        for aspect, table in (("conc", value.conc), ("role", value.role)):
+            lines.extend(f"  {aspect} {_name(t)} = {_set_text(table[t])} ." for t in sorted(table, key=Term.sort_key))
+        lines.extend(f"  ctxtop {_ident(cid, 'context id')} = {_set_text(value.top_ctx[cid])} ."
+                     for cid in sorted(value.top_ctx))
+        return lines + ["}"]
+    if isinstance(value, Ontology):
+        head, axioms = f"ontology {_ident(name, 'block name')}", value.axioms
+    elif isinstance(value, ContextualAnnotation):
+        head, axioms = f"annotation {_ident(value.ctx_id, 'context id')} anchor {_name(value.anchor)}", value.abox
+    else:
+        raise TypeError(f"cannot serialize {value!r}")
+    return [f"{head} {{", *(f"  {axiom_text(ax)} ." for ax in axioms), "}"]
 
 
 def serialize(value: SourceDocument | Ontology | ContextualAnnotation | Interpretation, name: str = "o") -> str:
-    """Canonical text for a document or a single block value; byte-stable."""
+    """Canonical text for a document or a single block value; byte-stable.
+    A single model's default name is `m`."""
     if isinstance(value, SourceDocument):
-        chunks = []
-        for block in value.blocks:
-            if block.kind is BlockKind.ONTOLOGY:
-                chunks.append("\n".join(_ontology_lines(block.name, block.payload)))
-            elif block.kind is BlockKind.ANNOTATION:
-                chunks.append("\n".join(_annotation_lines(block.payload)))
-            else:
-                chunks.append("\n".join(_model_lines(block.name, block.payload)))
-        return "\n\n".join(chunks) + "\n"
-    if isinstance(value, Ontology):
-        return "\n".join(_ontology_lines(name, value)) + "\n"
-    if isinstance(value, ContextualAnnotation):
-        return "\n".join(_annotation_lines(value)) + "\n"
-    if isinstance(value, Interpretation):
-        return "\n".join(_model_lines(name if name != "o" else "m", value)) + "\n"
-    raise TypeError(f"cannot serialize {value!r}")
+        return "\n\n".join("\n".join(_lines(b.payload, b.name)) for b in value.blocks) + "\n"
+    if isinstance(value, Interpretation) and name == "o":
+        name = "m"
+    return "\n".join(_lines(value, name)) + "\n"

@@ -212,6 +212,29 @@ class TestCombine:
         assert "capitalOf@CA" in names and "capitalOf@CB" in names
 
 
+class TestAtomicOutput:
+    """`-o` files are written through a temporary file and a rename: a
+    failed write leaves the old file whole and no temporary behind."""
+
+    @pytest.mark.parametrize("command", ["contextualize", "combine"])
+    def test_failed_rename_keeps_the_old_file(self, files, monkeypatch, capsys, command):
+        out = files["dir"] / "out.dl"
+        out.write_text("old content\n")
+        if command == "contextualize":
+            argv = ["contextualize", "-O", files["babylon.dl"], "-A", files["ctx.dl"]]
+        else:
+            argv = ["combine", "--pair", f"{files['babylon.dl']}:{files['ctx.dl']}"]
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert run([*argv, "--strategy", "ndterms", "-o", str(out)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert out.read_text() == "old content\n"
+        assert not list(files["dir"].glob("*.tmp"))
+
+
 class TestValidateAndErrors:
     def test_valid_annotation(self, files, capsys):
         assert run(["validate", "-A", files["ctx.dl"]]) == 0

@@ -219,6 +219,30 @@ class TestNdFluents:
         assert RoleAssert(ratom("validity"), anchor, nc("t")) in out.axioms
 
 
+class TestSlicingContextPart:
+    """The slicing family builds the context part once per ontology and
+    emits it after the first statement's output, where the per-statement
+    copies' deduplication left it."""
+
+    SLICINGS = [Strategy.ND_TERMS, Strategy.ND_FLUENTS]
+
+    @pytest.mark.parametrize("strategy", SLICINGS)
+    def test_empty_ontology_gets_no_context_part(self, strategy, babylon_annotation):
+        assert contextualize(strategy, AnnotatedOntology(Ontology([]), babylon_annotation)).axioms == ()
+
+    @pytest.mark.parametrize("strategy", SLICINGS)
+    def test_same_axioms_in_the_same_order_as_per_statement(self, strategy, babylon_annotation):
+        onto = Ontology([
+            STATEMENT, ConceptSub(catom("C"), catom("D")), cassert("C", "babylon"), rassert("near", "ur", "babylon"),
+        ])
+        per_statement = [ax for statement in onto.axioms for ax in contextualize(
+            strategy, AnnotatedStatement(statement, babylon_annotation)).axioms]
+        whole = contextualize(strategy, AnnotatedOntology(onto, babylon_annotation))
+        assert whole.axioms == Ontology(per_statement).axioms
+        part = cx_of_annotation(babylon_annotation, annotation_anchor(babylon_annotation))
+        assert sum(ax in part for ax in whole.axioms) == len(part)
+
+
 class TestContract:
     """The shared strategy contract: Cx with a replaced anchor plus an
     injective embedding of the statement signature."""

@@ -1,4 +1,5 @@
 import random
+import re
 import typing
 
 import pytest
@@ -106,6 +107,56 @@ ontology ex {
     def test_reserved_words_are_not_idents(self):
         with pytest.raises(ParseError):
             parse("ontology top { }")
+
+    # Positions are worked out from token offsets: every character takes one
+    # column, and only "\n" ends a line (so "\r", tabs, "\u00a0" and
+    # "\u2028" each take a column).
+    POSITIONS = [
+        ("ontology\tex {\n\tC(a) .\n\tand(\tC, ) sub D .\n}\n", 3, 10, "concept expected"),
+        ("ontology ex {\r\n  C(a) .\r\n  D(b)\r\n}\r\n", 4, 1, "expected '.'"),
+        ("ontology\u00a0ex\u2028{ C(a) .\u00a0\u2028 D(b) E(c) . }", 1, 29, "expected '.'"),
+        ("ontology ex {\n  C(a) .  # no closing brace", 2, 9, "unexpected end of input: unterminated block"),
+        ("ontology ex {\n  C(a) .\n  D(b) - .\n}\n", 3, 8, "unexpected character '-'"),
+        ("ontology ex {\n  C(a) .\n\n\n", 2, 9, "unexpected end of input: unterminated block"),
+    ]
+
+    @pytest.mark.parametrize("text, line, col, message", POSITIONS)
+    def test_error_positions(self, text, line, col, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+        assert str(err.value).startswith(f"{line}:{col}: {message}")
+
+    def test_block_spans(self):
+        doc = parse("ontology a { C(a) . }\n\n  model m {\n domain 1 . }\n\t# c\n"
+                    "\tannotation K anchor u { R(u, v) . } ontology b { }")
+        assert [(b.name, b.span) for b in doc.blocks] == [("a", (1, 1)), ("m", (3, 3)), ("K", (6, 2)), ("b", (6, 38))]
+
+    # Lists and sorts: fixed-arity forms, open lists, and the first operand
+    # of an axiom, whose sort the token after it settles.
+    LIST_AND_SORT_ERRORS = [
+        ("model m { domain 2 . conc C = {0,} . }", "1:34: expected natural number"),
+        ("ontology o { oneof(a,)(b) . }", "1:22: expected individual"),
+        ("ontology o { exists(r)(b) . }", "1:22: expected ','"),
+        ("ontology o { exists(r, C, D)(b) . }", "1:25: expected ')'"),
+        ("ontology o { inv(r) sub C . }", "1:25: role expression where a concept is required"),
+        ("ontology o { and(C, D)(a, b) . }", "1:30: concept expression where a role is required"),
+        ("ontology o { r sub inv(s) . }", "1:20: concept expected"),
+        ("ontology o { C rsub top . }", "1:21: role expected"),
+        ("ontology o { sub(a) . }", "1:14: expression expected"),
+    ]
+
+    @pytest.mark.parametrize("text, message", LIST_AND_SORT_ERRORS)
+    def test_list_and_sort_errors(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+            parse(text)
+
+    def test_only_a_pair_set_takes_a_trailing_comma(self):
+        [model] = parse("model m { domain 2 . conc C = {} . role r = {(0, 1),} . }").models()
+        assert model.conc[nc("C")] == frozenset() and model.role[nc("r")] == {(0, 1)}
+
+    def test_comment_only_and_empty_input(self):
+        assert parse("") == parse("# only a comment") == SourceDocument(())
 
     def test_expected_tokens_are_reported(self):
         with pytest.raises(ParseError) as err:
@@ -244,6 +295,28 @@ class TestUnprintableTerms:
         interp = Interpretation(1, {t: 0 for t in terms}, {t: frozenset({0}) for t in terms})
         [model] = parse(serialize(interp, "m")).models()
         assert model == interp
+
+
+class TestUnprintableBlockNames:
+    """Ontology and model block names are printed where the parser reads an
+    identifier, so one that is no identifier, or a reserved word, is
+    refused, in a single value and in a document alike."""
+
+    @pytest.mark.parametrize("name", ["top", "a b", "x{", ""])
+    def test_refused(self, name):
+        cases = [(Ontology([]), name), (Interpretation(1, {}), name),
+                 (SourceDocument((Block(BlockKind.ONTOLOGY, name, Ontology([])),)), "o"),
+                 (SourceDocument((Block(BlockKind.MODEL, name, Interpretation(1, {})),)), "o")]
+        for value, given in cases:
+            with pytest.raises(UnprintableTermError, match=f"block name {name!r}"):
+                serialize(value, given)
+
+    def test_identifier_names_round_trip(self):
+        doc = SourceDocument((Block(BlockKind.ONTOLOGY, "o@1#x", Ontology([cassert("C", "a")])),
+                              Block(BlockKind.MODEL, "m_2", Interpretation(1, {nc("a"): 0}))))
+        assert parse(serialize(doc)) == doc
+        assert serialize(Ontology([]), "ctx@K") == "ontology ctx@K {\n}\n"
+        assert serialize(Interpretation(1, {})) == "model m {\n  domain 1 .\n}\n"
 
 
 UNPRINTABLE_CONTEXT_IDS = ["top", "a.b", "sub", "a-b"]
