@@ -1,11 +1,18 @@
 """Command-line front end.
 
-Exit status contract: 0 for success or a property that holds, 1 for negative
-verdicts (violated property, non-entailment, no model), 2 for usage, parse,
-or I/O problems. The status is derived from the structured report record,
-which can also be appended to a file as one JSON object per line via
-`--report`; witness models referenced by records are written next to the
-report file.
+Exit status follows the command's outcome: 0 for `ok`, `satisfiable`,
+`entailed`, `holds`, `inconclusive` (a vacuous check) and `valid`; 1 for the
+negative outcomes `no-model`, `not-entailed`, `violated` and `invalid`; 2 for
+usage, parse or I/O problems and an exhausted search budget, with an `error:`
+line on stderr, no stdout line and no record.
+
+`--report FILE` appends one JSON object per invocation to FILE. Every record
+has `command`, `outcome`, `bound` (null for contextualize and combine), `seq`
+(its line number in FILE) and `witness` (null, or the path
+`FILE.witness<seq>.model` of the witness model written next to FILE).
+contextualize and combine add `strategy` and `axioms`; models adds `size`
+when satisfiable; entails adds `size` when not entailed; check adds
+`property` and `strategy`. validate takes no `--report`.
 """
 
 from __future__ import annotations
@@ -16,10 +23,11 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .annotation import AnnotatedOntology, AnnotationError, ContextualAnnotation
+from .annotation import AnnotatedOntology, AnnotationError
 from .core import Ontology
 from .search import check_entailment, find_model
 from .semantics import (
@@ -29,7 +37,7 @@ from .semantics import (
     SatisfiableAt,
 )
 from .strategies import Strategy, combine_contexts, contextualize
-from .textio import ParseError, UnprintableTermError, parse, serialize
+from .textio import BlockKind, ParseError, UnprintableTermError, parse, serialize
 from .verify import (
     Outcome,
     PremiseNotEntailedError,
@@ -112,27 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _read(path: str) -> str:
+def _load(path: str, kind: BlockKind = BlockKind.ONTOLOGY):
+    """The payload of the first `kind` block in the file at `path`."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_ontology(path: str) -> Ontology:
-    doc = parse(_read(path))
-    ontologies = doc.ontologies()
-    if not ontologies:
-        raise CliError(f"{path}: no ontology block found")
-    return ontologies[0]
-
-
-def _load_annotation(path: str) -> ContextualAnnotation:
-    doc = parse(_read(path))
-    annotations = doc.annotations()
-    if not annotations:
-        raise CliError(f"{path}: no annotation block found")
-    return annotations[0]
+    for block in parse(text).blocks:
+        if block.kind is kind:
+            return block.payload
+    raise CliError(f"{path}: no {kind.value} block found")
 
 
 def _search_budget() -> Optional[int]:
@@ -148,21 +145,25 @@ def _search_budget() -> Optional[int]:
     return budget
 
 
-def _emit(record: dict, report_path: Optional[str], witness: Optional[Interpretation]) -> dict:
-    """Append the record to the report, numbered by its line in the report.
+def _emit(report_path: str, record: dict, witness: Optional[Interpretation]) -> None:
+    """Append the record to the report with its `seq`, its line number in
+    the report, and its `witness` path.
 
     The number also names the record's witness file, so every invocation
-    that appends to one report writes its witness under a fresh name.
-    """
-    if report_path:
-        record["seq"] = _count_lines(report_path) + 1
-        if witness is not None:
-            witness_path = f"{report_path}.witness{record['seq']}.model"
-            _write_atomic(witness_path, serialize(witness, "witness"))
-            record["witness"] = witness_path
+    that appends to one report writes its witness under a fresh name. If
+    the append fails, the witness just written is removed with it."""
+    seq = _count_lines(report_path) + 1
+    witness_path = None if witness is None else f"{report_path}.witness{seq}.model"
+    if witness_path:
+        _write_atomic(witness_path, serialize(witness, "witness"))
+    try:
         with open(report_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return record
+            fh.write(json.dumps({**record, "seq": seq, "witness": witness_path}, sort_keys=True) + "\n")
+    except BaseException:
+        if witness_path:
+            with contextlib.suppress(OSError):
+                os.unlink(witness_path)
+        raise
 
 
 def _count_lines(path: str) -> int:
@@ -187,111 +188,92 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _record(command: str, outcome: str, bound: Optional[int], **extra) -> dict:
-    rec = {"command": command, "outcome": outcome, "bound": bound, "witness": None, "seq": None}
-    rec.update(extra)
-    return rec
-
-
-def _exit_code(record: dict) -> int:
-    return 0 if record["outcome"] in ("ok", "holds", "inconclusive", "entailed", "satisfiable", "valid") else 1
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def _cmd_contextualize(args) -> int:
-    annotated = AnnotatedOntology(_load_ontology(args.ontology), _load_annotation(args.annotation))
-    result = contextualize(args.strategy, annotated)
-    _write_atomic(args.out, serialize(result, "out"))
-    record = _record("contextualize", "ok", None, strategy=args.strategy.value, axioms=len(result.axioms))
-    _emit(record, args.report, None)
-    print(f"wrote {len(result.axioms)} axioms to {args.out}")
-    return _exit_code(record)
+@dataclass(frozen=True)
+class _Result:
+    """What a subcommand decided: its outcome, its stdout line, the witness
+    model of a report record, and the record's subcommand-specific fields."""
+
+    outcome: str
+    line: str
+    witness: Optional[Interpretation] = None
+    fields: dict = field(default_factory=dict)
 
 
-def _cmd_models(args) -> int:
-    onto = _load_ontology(args.file)
-    verdict = find_model(onto, args.bound, budget=_search_budget())
+def _annotated(ontology_path: str, annotation_path: str) -> AnnotatedOntology:
+    return AnnotatedOntology(_load(ontology_path), _load(annotation_path, BlockKind.ANNOTATION))
+
+
+def _wrote(args, result: Ontology, name: str) -> _Result:
+    """Write a rewritten ontology to `-o`, as the block `name`."""
+    _write_atomic(args.out, serialize(result, name))
+    fields = {"strategy": args.strategy.value, "axioms": len(result.axioms)}
+    return _Result("ok", f"wrote {len(result.axioms)} axioms to {args.out}", fields=fields)
+
+
+def _cmd_contextualize(args) -> _Result:
+    return _wrote(args, contextualize(args.strategy, _annotated(args.ontology, args.annotation)), "out")
+
+
+def _cmd_models(args) -> _Result:
+    verdict = find_model(_load(args.file), args.bound, budget=_search_budget())
     if isinstance(verdict, SatisfiableAt):
-        record = _record("models", "satisfiable", args.bound, size=verdict.size)
-        record = _emit(record, args.report, verdict.model)
-        print(f"satisfiable at size {verdict.size} (bound {args.bound})")
-    else:
-        record = _record("models", "no-model", args.bound)
-        _emit(record, args.report, None)
-        print(f"no model up to size {args.bound}")
-    return _exit_code(record)
+        line = f"satisfiable at size {verdict.size} (bound {args.bound})"
+        return _Result("satisfiable", line, verdict.model, {"size": verdict.size})
+    return _Result("no-model", f"no model up to size {args.bound}")
 
 
-def _cmd_entails(args) -> int:
-    premise = _load_ontology(args.premise)
-    conclusion = _load_ontology(args.conclusion)
-    verdict = check_entailment(premise, conclusion, args.bound, budget=_search_budget())
+def _cmd_entails(args) -> _Result:
+    verdict = check_entailment(_load(args.premise), _load(args.conclusion), args.bound, budget=_search_budget())
     if isinstance(verdict, NoCounterexampleUpTo):
-        record = _record("entails", "entailed", args.bound)
-        _emit(record, args.report, None)
-        print(f"no counterexample up to {args.bound}")
-    else:
-        record = _record("entails", "not-entailed", args.bound, size=verdict.countermodel.size)
-        record = _emit(record, args.report, verdict.countermodel)
-        print(f"not entailed: countermodel of size {verdict.countermodel.size}")
-    return _exit_code(record)
+        return _Result("entailed", f"no counterexample up to {args.bound}")
+    size = verdict.countermodel.size
+    return _Result("not-entailed", f"not entailed: countermodel of size {size}", verdict.countermodel, {"size": size})
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> _Result:
     prop = Property(args.property)
-    ca = _load_annotation(args.annotation)
+    ca = _load(args.annotation, BlockKind.ANNOTATION)
     budget = _search_budget()
     if prop is Property.ENTAILMENT_PRESERVATION:
         if not args.premise or not args.conclusion:
             raise CliError("entailment checks need -P and -C")
         report = check_entailment_preservation(
-            args.strategy, _load_ontology(args.premise), _load_ontology(args.conclusion),
-            ca, args.bound, budget=budget,
+            args.strategy, _load(args.premise), _load(args.conclusion), ca, args.bound, budget=budget
         )
     else:
         if not args.ontology:
             raise CliError(f"{prop.value} checks need -O")
         checker = check_soundness if prop is Property.SOUNDNESS else check_inconsistency_preservation
-        report = checker(args.strategy, _load_ontology(args.ontology), ca, args.bound, budget=budget)
-    record = _record(
-        "check", report.outcome.value, args.bound,
-        property=prop.value, strategy=args.strategy.value,
-    )
-    record = _emit(record, args.report, report.witness())
+        report = checker(args.strategy, _load(args.ontology), ca, args.bound, budget=budget)
+    outcome = report.outcome.value
     qualifier = " (vacuous at bound)" if report.outcome is Outcome.INCONCLUSIVE_AT_BOUND else ""
-    print(f"{prop.value} / {args.strategy.value}: {report.outcome.value}{qualifier} at bound {args.bound}")
-    return _exit_code(record)
+    line = f"{prop.value} / {args.strategy.value}: {outcome}{qualifier} at bound {args.bound}"
+    return _Result(outcome, line, report.witness(), {"property": prop.value, "strategy": args.strategy.value})
 
 
-def _cmd_combine(args) -> int:
+def _cmd_combine(args) -> _Result:
     inputs = []
     for pair in args.pair:
         if ":" not in pair:
             raise CliError(f"--pair must look like ONT.dl:ANN.dl, got {pair!r}")
-        ont_path, ann_path = pair.split(":", 1)
-        inputs.append(AnnotatedOntology(_load_ontology(ont_path), _load_annotation(ann_path)))
-    result = combine_contexts(inputs, args.strategy)
-    _write_atomic(args.out, serialize(result, "combined"))
-    record = _record("combine", "ok", None, strategy=args.strategy.value, axioms=len(result.axioms))
-    _emit(record, args.report, None)
-    print(f"wrote {len(result.axioms)} axioms to {args.out}")
-    return _exit_code(record)
+        inputs.append(_annotated(*pair.split(":", 1)))
+    return _wrote(args, combine_contexts(inputs, args.strategy), "combined")
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> _Result:
     try:
-        ca = _load_annotation(args.annotation)
+        ca = _load(args.annotation, BlockKind.ANNOTATION)
     except ParseError as exc:
         if isinstance(exc.__cause__, AnnotationError):
-            print(f"invalid annotation: {exc}")
-            return 1
+            return _Result("invalid", f"invalid annotation: {exc}")
         raise
-    print(f"annotation {ca.ctx_id} is valid: anchor {ca.anchor.name}, {len(ca.sigma)} signature terms")
-    return 0
+    line = f"annotation {ca.ctx_id} is valid: anchor {ca.anchor.name}, {len(ca.sigma)} signature terms"
+    return _Result("valid", line)
 
 
 _COMMANDS = {
@@ -303,21 +285,30 @@ _COMMANDS = {
     "validate": _cmd_validate,
 }
 
+_NEGATIVE = frozenset({"no-model", "not-entailed", "violated", "invalid"})
+
 
 def run(argv: list[str]) -> int:
+    """Run one command: the one place that appends its record, prints its
+    line and maps its outcome to the exit status."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        result = _COMMANDS[args.command](args)
+        if getattr(args, "report", None):
+            record = {"command": args.command, "outcome": result.outcome, "bound": getattr(args, "bound", None)}
+            _emit(args.report, {**record, **result.fields}, result.witness)
+        print(result.line)
     except (
         CliError, ParseError, UnprintableTermError, AnnotationError, OSError, PremiseNotEntailedError,
         BoundTooLargeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if result.outcome in _NEGATIVE else 0
 
 
 def main() -> None:

@@ -22,8 +22,10 @@ Pruning machinery, in order of impact:
   inclusions, and the domain/range inclusion shapes produced by
   relativization) become lower/upper bounds, so only subsets between the
   bounds are enumerated;
-* a component whose every constraint has been consumed as a bound is
-  determined: the lower bound itself is the only candidate that needs trying;
+* a component whose every constraint is consumed as its bound is tried at
+  its lower bound only, and needs no rule for that: its first candidate is
+  the lower bound, no later check reads it, so no conflict set names it, and
+  backjumping pops its frame without trying a second candidate;
 * check first: before a component's candidates are tried, the axioms whose
   last component it is are decided with its atom reading the bracket
   `(lower, upper)`; an axiom settled against there fails every candidate,
@@ -589,7 +591,6 @@ class _Plan:
     checks_at: list[list[tuple[Callable, Callable, bool, int]]]
     # (decide, not positive, positions of the constraint's earlier components)
     watch_at: list[list[tuple[Callable, bool, int]]]
-    determined: list[bool]
 
 
 def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: Sequence[CompKey]) -> _Plan:
@@ -611,8 +612,6 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
     producer_reads = [0] * len(order)
     checks_at: list[list] = [[] for _ in order]
     watch_at: list[list] = [[] for _ in order]
-    # Per position, the ids of constraints consumed there as bounds.
-    produced: list[set[int]] = [set() for _ in order]
     for con in constraints:
         positions = 0
         for c in con.comps:
@@ -624,7 +623,6 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
         if prod is not None:
             producers_at[i].append(prod)
             producer_reads[i] |= others
-            produced[i].add(id(con))
         else:
             checks_at[i].append((con.holds, con.decide, con.positive, others))
             # Interval-check the axiom at every earlier component; many
@@ -636,15 +634,8 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
                     j = position[comp]
                     watch_at[j].append((con.decide, not con.positive, positions & ((1 << j) - 1)))
 
-    determined = [True] * len(order)
-    for con in constraints:
-        for c in con.comps:
-            j = position[c]
-            if id(con) not in produced[j]:
-                determined[j] = False
-
     aspects = [keys[c][0] for c in order]
-    return _Plan(order, aspects, producers_at, producer_reads, checks_at, watch_at, determined)
+    return _Plan(order, aspects, producers_at, producer_reads, checks_at, watch_at)
 
 
 def _bracket(producers: list[_Producer], vals: Vals, d: _Domain, upper: int, lifted: bool = False) -> tuple[int, int]:
@@ -732,7 +723,7 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
                         break
                 vals[slot] = None
                 if returned is None:
-                    candidates = iter((lower,)) if plan.determined[i] else _submasks(lower, upper ^ lower)
+                    candidates = _submasks(lower, upper ^ lower)
         if returned is None:
             frames.append([candidates, 0, reads, lower, upper, open_checks])
 
@@ -834,11 +825,10 @@ class _Problem:
 
 def _prepare(constraints: list[_Constraint], slots: Slots) -> _Problem:
     keys = list(slots)  # slots are numbered in insertion order
-    by_key = lambda c: _comp_sort_key(keys[c])  # noqa: E731
     grouped = _group_constraints([c for c in constraints if c.comps], keys)
     return _Problem(
         [c for c in constraints if not c.comps],
-        [_plan_group(sorted(comps, key=by_key), cons, keys) for comps, cons in grouped],
+        [_plan_group(comps, cons, keys) for comps, cons in grouped],
     )
 
 

@@ -144,12 +144,26 @@ class BlockKind(Enum):
 Payload = Union[Ontology, ContextualAnnotation, Interpretation]
 
 
+_PAYLOAD_TYPES = {
+    BlockKind.ONTOLOGY: Ontology, BlockKind.ANNOTATION: ContextualAnnotation, BlockKind.MODEL: Interpretation,
+}
+
+
 @dataclass(frozen=True)
 class Block:
+    """A document block. Its payload has its kind's type, and an annotation
+    block bears its context id as name, so it prints as text that parses back."""
+
     kind: BlockKind
     name: str
     payload: Payload
     span: tuple[int, int] = field(default=(0, 0), compare=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.payload, _PAYLOAD_TYPES[self.kind]):
+            raise ValueError(f"{self.kind.value} block {self.name!r} cannot hold a {type(self.payload).__name__}")
+        if self.kind is BlockKind.ANNOTATION and self.name != self.payload.ctx_id:
+            raise ValueError(f"annotation block {self.name!r} holds context {self.payload.ctx_id!r}")
 
 
 @dataclass(frozen=True)

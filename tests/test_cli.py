@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ctxdl
+from ctxdl import cli
 from ctxdl.cli import run
 from ctxdl.semantics import is_model
 from ctxdl.textio import parse
@@ -233,6 +235,178 @@ class TestAtomicOutput:
         assert "disk full" in capsys.readouterr().err
         assert out.read_text() == "old content\n"
         assert not list(files["dir"].glob("*.tmp"))
+
+
+OTHER_CONTEXT = "annotation CB anchor b2 {\n  source(b2, doc2) .\n}\n"
+DISCONNECTED = "annotation B anchor a {\n  validity(a, t) .\n  name(w, wikipedia) .\n}\n"
+
+# Every subcommand x outcome: argv, exit status, stdout line, and the report
+# record, whose `seq` is 1 and whose witness, where the record says True, is
+# `{report}.witness1.model`. `{name}` stands for an input file, `{out}` for
+# the -o file and `{report}` for the --report file.
+CONTRACT = {
+    "contextualize/ok": (
+        ["contextualize", "--strategy", "ndterms", "-O", "{babylon.dl}", "-A", "{ctx.dl}", "-o", "{out}"],
+        0, "wrote 26 axioms to {out}",
+        {"command": "contextualize", "outcome": "ok", "bound": None, "strategy": "ndterms", "axioms": 26},
+    ),
+    "combine/ok": (
+        ["combine", "--strategy", "ndfluents", "--pair", "{babylon.dl}:{ctx.dl}",
+         "--pair", "{premise.dl}:{ctx2.dl}", "-o", "{out}"],
+        0, "wrote 19 axioms to {out}",
+        {"command": "combine", "outcome": "ok", "bound": None, "strategy": "ndfluents", "axioms": 19},
+    ),
+    "models/satisfiable": (
+        ["models", "{babylon.dl}", "--bound", "2"],
+        0, "satisfiable at size 1 (bound 2)",
+        {"command": "models", "outcome": "satisfiable", "bound": 2, "size": 1, "witness": True},
+    ),
+    "models/no-model": (
+        ["models", "{irreflexive.dl}", "--bound", "3"],
+        1, "no model up to size 3",
+        {"command": "models", "outcome": "no-model", "bound": 3},
+    ),
+    "entails/entailed": (
+        ["entails", "-P", "{premise.dl}", "-C", "{conclusion.dl}", "--bound", "3"],
+        0, "no counterexample up to 3",
+        {"command": "entails", "outcome": "entailed", "bound": 3},
+    ),
+    "entails/not-entailed": (
+        ["entails", "-P", "{babylon.dl}", "-C", "{conclusion.dl}", "--bound", "3"],
+        1, "not entailed: countermodel of size 1",
+        {"command": "entails", "outcome": "not-entailed", "bound": 3, "size": 1, "witness": True},
+    ),
+    "check/holds": (
+        ["check", "--property", "soundness", "--strategy", "ndterms", "-O", "{babylon.dl}", "-A", "{ctx.dl}",
+         "--bound", "2"],
+        0, "soundness / ndterms: holds at bound 2",
+        {"command": "check", "outcome": "holds", "bound": 2, "property": "soundness", "strategy": "ndterms",
+         "witness": True},
+    ),
+    "check/holds-without-witness": (
+        ["check", "--property", "inconsistency", "--strategy", "ndterms", "-O", "{irreflexive.dl}",
+         "-A", "{ctx.dl}", "--bound", "3"],
+        0, "inconsistency / ndterms: holds at bound 3",
+        {"command": "check", "outcome": "holds", "bound": 3, "property": "inconsistency", "strategy": "ndterms"},
+    ),
+    "check/violated": (
+        ["check", "--property", "entailment", "--strategy", "rdf", "-P", "{premise.dl}", "-C", "{conclusion.dl}",
+         "-A", "{ctx.dl}", "--bound", "3"],
+        1, "entailment / rdf: violated at bound 3",
+        {"command": "check", "outcome": "violated", "bound": 3, "property": "entailment", "strategy": "rdf",
+         "witness": True},
+    ),
+    "check/inconclusive": (
+        ["check", "--property", "inconsistency", "--strategy", "rdf", "-O", "{babylon.dl}", "-A", "{ctx.dl}",
+         "--bound", "2"],
+        0, "inconsistency / rdf: inconclusive (vacuous at bound) at bound 2",
+        {"command": "check", "outcome": "inconclusive", "bound": 2, "property": "inconsistency",
+         "strategy": "rdf"},
+    ),
+    "validate/valid": (
+        ["validate", "-A", "{ctx.dl}"],
+        0, "annotation CA is valid: anchor a, 12 signature terms",
+        None,
+    ),
+    "validate/invalid": (
+        ["validate", "-A", "{bad.dl}"],
+        1, "invalid annotation: 1:1: invalid annotation 'B': terms not connected to the anchor: name, w, wikipedia",
+        None,
+    ),
+}
+
+# The size and domain of each witness file, and the whole text of one.
+WITNESS_SIZES = {"models/satisfiable": 1, "entails/not-entailed": 1, "check/holds": 1, "check/violated": 2}
+BABYLON_WITNESS = """model witness {
+  domain 1 .
+  indiv babylon = 0 .
+  indiv babylonianEmpire = 0 .
+  indiv capitalOf = 0 .
+  conc babylon = {} .
+  conc babylonianEmpire = {} .
+  conc capitalOf = {} .
+  role babylon = {} .
+  role babylonianEmpire = {} .
+  role capitalOf = {(0, 0)} .
+}
+"""
+
+
+@pytest.fixture
+def contract_files(files):
+    for name, text in [("ctx2.dl", OTHER_CONTEXT), ("bad.dl", DISCONNECTED)]:
+        path = files["dir"] / name
+        path.write_text(text)
+        files[name] = str(path)
+    files["out"] = str(files["dir"] / "out.dl")
+    files["report"] = str(files["dir"] / "report.jsonl")
+    return files
+
+
+def _fill(text: str, paths: dict) -> str:
+    for name, path in paths.items():
+        text = text.replace("{" + name + "}", str(path))
+    return text
+
+
+class TestContract:
+    """The whole observable result of each subcommand and outcome: exit
+    status, stdout, stderr, the report line byte for byte, and the witness."""
+
+    @pytest.mark.parametrize("case", sorted(CONTRACT))
+    def test_subcommand_outcome(self, contract_files, capsys, case):
+        argv, code, line, record = CONTRACT[case]
+        argv = [_fill(arg, contract_files) for arg in argv]
+        if record is not None:
+            argv += ["--report", contract_files["report"]]
+        assert run(argv) == code
+        out, err = capsys.readouterr()
+        assert (out, err) == (_fill(line, contract_files) + "\n", "")
+        report = Path(contract_files["report"])
+        if record is None:
+            assert not report.exists()
+            return
+        witness = f"{report}.witness1.model" if record.get("witness") else None
+        expected = {**record, "seq": 1, "witness": witness}
+        assert report.read_text() == json.dumps(expected, sort_keys=True) + "\n"
+        witnesses = sorted(p.name for p in contract_files["dir"].glob("*.model"))
+        if witness is None:
+            assert witnesses == []
+            return
+        assert witnesses == ["report.jsonl.witness1.model"]
+        text = Path(witness).read_text()
+        [block] = parse(text).blocks
+        assert (block.name, block.payload.size) == ("witness", WITNESS_SIZES[case])
+        if case == "models/satisfiable":
+            assert text == BABYLON_WITNESS
+
+    def test_usage_error_writes_nothing(self, contract_files, capsys):
+        assert run(["models", contract_files["babylon.dl"], "--bound", "0", "--report",
+                    contract_files["report"]]) == 2
+        assert not Path(contract_files["report"]).exists()
+
+    @pytest.mark.parametrize("case", ["contextualize/ok", "combine/ok", "validate/valid"])
+    def test_commands_without_search_ignore_the_budget(self, contract_files, monkeypatch, capsys, case):
+        monkeypatch.setenv("CTXDL_BUDGET", "many")
+        argv, code, line, _ = CONTRACT[case]
+        assert run([_fill(arg, contract_files) for arg in argv]) == code
+        assert capsys.readouterr().out == _fill(line, contract_files) + "\n"
+
+
+class TestReportAppendFailure:
+    """A record that cannot be appended leaves no witness without a record."""
+
+    def test_failed_append_removes_the_witness(self, files, monkeypatch, capsys):
+        def failing_append(file, mode="r", *args, **kwargs):
+            if "a" in mode:
+                raise OSError(28, "No space left on device")
+            return builtins.open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", failing_append, raising=False)
+        report = files["dir"] / "r.jsonl"
+        assert run(["models", files["babylon.dl"], "--bound", "2", "--report", str(report)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in files["dir"].iterdir() if p.suffix != ".dl") == []
 
 
 class TestValidateAndErrors:

@@ -319,6 +319,27 @@ class TestUnprintableBlockNames:
         assert serialize(Interpretation(1, {})) == "model m {\n  domain 1 .\n}\n"
 
 
+class TestBlockConsistency:
+    """A block whose kind does not match its payload, or an annotation block
+    not named by its context id, would print as text that parses back to a
+    different document, so it cannot be built."""
+
+    def test_kind_must_match_the_payload(self):
+        ca = validate_annotation(nc("a"), [cassert("Src", "a")], ctx_id="K")
+        model, onto = Interpretation(1, {}), Ontology([])
+        for kind, payload in [(BlockKind.ONTOLOGY, model), (BlockKind.MODEL, onto), (BlockKind.ONTOLOGY, ca),
+                              (BlockKind.ANNOTATION, onto), (BlockKind.ANNOTATION, model)]:
+            with pytest.raises(ValueError, match=f"{kind.value} block 'K' cannot hold a {type(payload).__name__}"):
+                Block(kind, "K", payload)
+
+    def test_annotation_block_is_named_by_its_context(self):
+        ca = validate_annotation(nc("a"), [cassert("Src", "a")], ctx_id="K")
+        with pytest.raises(ValueError, match="annotation block 'other' holds context 'K'"):
+            Block(BlockKind.ANNOTATION, "other", ca)
+        doc = SourceDocument((Block(BlockKind.ANNOTATION, "K", ca), Block(BlockKind.MODEL, "K", Interpretation(1, {}))))
+        assert parse(serialize(doc)) == doc
+
+
 UNPRINTABLE_CONTEXT_IDS = ["top", "a.b", "sub", "a-b"]
 
 
