@@ -19,6 +19,7 @@ from .core import (
     RoleAssert,
     RoleAtom,
     Term,
+    is_clean_name,
     own_terms,
     signature_of,
     stable_hash,
@@ -124,7 +125,7 @@ def validate_annotation(
     be nonempty and without whitespace, like a term name, since strategies
     build term names from it.
     """
-    if ctx_id is not None and (not ctx_id or any(ch.isspace() for ch in ctx_id)):
+    if ctx_id is not None and not is_clean_name(ctx_id):
         raise AnnotationError(f"context id must be nonempty without whitespace: {ctx_id!r}")
     axioms = tuple(abox)
     for ax in axioms:

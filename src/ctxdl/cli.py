@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -71,7 +72,9 @@ def _strategy(text: str) -> Strategy:
         raise argparse.ArgumentTypeError(f"unknown strategy {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; `parse_args` leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="ctxdl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -270,7 +273,7 @@ def _cmd_validate(args) -> _Result:
         ca = _load(args.annotation, BlockKind.ANNOTATION)
     except ParseError as exc:
         if isinstance(exc.__cause__, AnnotationError):
-            return _Result("invalid", f"invalid annotation: {exc}")
+            return _Result("invalid", str(exc))  # the parser's text names the annotation
         raise
     line = f"annotation {ca.ctx_id} is valid: anchor {ca.anchor.name}, {len(ca.sigma)} signature terms"
     return _Result("valid", line)
@@ -291,9 +294,8 @@ _NEGATIVE = frozenset({"no-model", "not-entailed", "violated", "invalid"})
 def run(argv: list[str]) -> int:
     """Run one command: the one place that appends its record, prints its
     line and maps its outcome to the exit status."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

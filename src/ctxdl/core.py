@@ -20,16 +20,31 @@ class TermKind(Enum):
     ANCHOR = "a"
 
 
+def is_clean_name(name: str) -> bool:
+    """True iff `name` is nonempty and holds no whitespace (`str.isspace`'s
+    Unicode whitespace): the rule for term names and context ids."""
+    return name.split() == [name]
+
+
 @dataclass(frozen=True)
 class Term:
-    """An atomic name, partitioned into non-contextual / contextual / anchor."""
+    """An atomic name, partitioned into non-contextual / contextual / anchor.
+
+    Equality compares name and kind, but the hash is the name's alone: `str`
+    caches its hash, and a name rarely has two kinds. Terms parsed from text
+    are interned through a bounded cache (`textio._term`), so a name parsed
+    again while cached is the same object.
+    """
 
     name: str
     kind: TermKind = TermKind.NON_CONTEXTUAL
 
     def __post_init__(self) -> None:
-        if not self.name or any(ch.isspace() for ch in self.name):
+        if not is_clean_name(self.name):
             raise ValueError(f"term name must be nonempty without whitespace: {self.name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     @classmethod
     def nc(cls, name: str) -> "Term":
@@ -352,9 +367,21 @@ def map_children(x: Expr, expr_fn: Callable[[Expr], Expr], term_fn: Callable[[Te
     return _row(x)[2](x, expr_fn, term_fn)
 
 
+def _terms_into(acc: set[Term], xs: Iterable[Expr]) -> set[Term]:
+    """`acc` plus every term occurring in `xs`: one walk over all of them,
+    in no particular order."""
+    stack = list(xs)
+    while stack:
+        node = stack.pop()
+        subs, terms, _ = _row(node)
+        acc.update(terms(node))
+        stack.extend(subs(node))
+    return acc
+
+
 def signature_of(x: Expr) -> frozenset[Term]:
     """All terms occurring in `x`. A TopCtx node contributes no term."""
-    return frozenset(t for node in walk(x) for t in own_terms(node))
+    return frozenset(_terms_into(set(), (x,)))
 
 
 @dataclass(frozen=True)
@@ -369,15 +396,9 @@ class Ontology:
     signature: frozenset[Term] = frozenset()
 
     def __init__(self, axioms: Iterable[Axiom] = (), signature: Iterable[Term] = ()) -> None:
-        seen: dict[Axiom, None] = {}
-        for ax in axioms:
-            seen.setdefault(ax)
-        deduped = tuple(seen)
-        sig = frozenset(signature)
-        for ax in deduped:
-            sig |= signature_of(ax)
+        deduped = tuple(dict.fromkeys(axioms))
         object.__setattr__(self, "axioms", deduped)
-        object.__setattr__(self, "signature", sig)
+        object.__setattr__(self, "signature", frozenset(_terms_into(set(signature), deduped)))
 
     def __contains__(self, axiom: Axiom) -> bool:
         return axiom in self.axioms

@@ -131,7 +131,10 @@ def infer_kind(name: str) -> TermKind:
     return TermKind.NON_CONTEXTUAL
 
 
+@lru_cache(maxsize=16384)
 def _term(name: str) -> Term:
+    """The term `name` reads as, interned through a bounded cache: a name
+    read again while cached, in any document, gives the same object."""
     return Term(name, infer_kind(name))
 
 

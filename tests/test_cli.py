@@ -310,7 +310,7 @@ CONTRACT = {
     ),
     "validate/invalid": (
         ["validate", "-A", "{bad.dl}"],
-        1, "invalid annotation: 1:1: invalid annotation 'B': terms not connected to the anchor: name, w, wikipedia",
+        1, "1:1: invalid annotation 'B': terms not connected to the anchor: name, w, wikipedia",
         None,
     ),
 }
@@ -451,6 +451,48 @@ class TestValidateAndErrors:
         code = run(["contextualize", "--strategy", "x", "-O", files["babylon.dl"], "-A", files["ctx.dl"], "-o", out])
         assert code == 2
         assert "unknown strategy 'x'" in capsys.readouterr().err
+
+
+class TestOnceBuiltParser:
+    """One parser serves every call of a process: no call's arguments or
+    defaults reach the next, and help and usage text are a fresh parser's."""
+
+    def test_calls_do_not_leak_into_each_other(self, files, capsys):
+        report = files["dir"] / "r.jsonl"
+        assert run(["models", files["babylon.dl"], "--bound", "9"]) == 2
+        assert run(["models", files["babylon.dl"], "--bound", "2"]) == 0
+        assert not report.exists()
+        assert run(["models", files["babylon.dl"], "--bound", "2", "--report", str(report)]) == 0
+        assert len(report.read_text().splitlines()) == 1
+        assert run(["models", files["babylon.dl"], "--bound", "2"]) == 0
+        assert len(report.read_text().splitlines()) == 1
+        out = capsys.readouterr().out
+        assert out.count("satisfiable at size 1 (bound 2)") == 3
+
+    @pytest.mark.parametrize("argv", [[], *([command] for command in cli._COMMANDS)])
+    def test_help_is_a_fresh_parsers(self, files, capsys, argv):
+        run(["models", files["babylon.dl"], "--report", str(files["dir"] / "r.jsonl")])
+        run(["models", "--bound", "0"])
+        capsys.readouterr()
+        assert run([*argv, "--help"]) == 0
+        once = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser.__wrapped__().parse_args([*argv, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == once
+        assert once.out.startswith("usage: ctxdl")
+
+    def test_usage_error_is_a_fresh_parsers(self, files, capsys):
+        argv = ["models", files["babylon.dl"], "--bound", "0"]
+        run(["models", files["babylon.dl"], "--bound", "2"])
+        capsys.readouterr()
+        assert run(argv) == 2
+        once = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser.__wrapped__().parse_args(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr() == once
+        assert "bound must be between 1 and 6" in once.err
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import pickle
 import random
 import typing
 
@@ -26,6 +27,7 @@ from ctxdl.core import (
     Top,
     TopCtx,
     children,
+    is_clean_name,
     map_children,
     own_terms,
     signature_of,
@@ -33,6 +35,10 @@ from ctxdl.core import (
     walk,
 )
 
+from ctxdl.annotation import AnnotatedStatement, AnnotationError, validate_annotation
+from ctxdl.strategies import Strategy, contextualize
+
+from conftest import cassert, nc, rassert
 from generators import random_axiom, random_concept, term_pool
 
 
@@ -49,6 +55,58 @@ def test_term_kinds_partition_and_equality():
 def test_term_name_must_be_clean(name):
     with pytest.raises(ValueError):
         Term.nc(name)
+
+
+@pytest.mark.parametrize("name", ["", " a", "a b", "a\tb", "a\xa0", "a\u2028b", "ab", "capitalOf@C0"])
+def test_one_whitespace_rule_for_term_names_and_context_ids(name):
+    clean = name in ("ab", "capitalOf@C0")
+    assert is_clean_name(name) is clean
+    abox = [cassert("C", "a")]
+    if clean:
+        assert Term.nc(name).name == name
+        assert validate_annotation(nc("a"), abox, ctx_id=name).ctx_id == name
+        return
+    with pytest.raises(ValueError):
+        Term.nc(name)
+    with pytest.raises(AnnotationError):
+        validate_annotation(nc("a"), abox, ctx_id=name)
+
+
+class TestTermContract:
+    """Equality is on name and kind; the hash is the name's; the printed
+    form and every id derived from it are as before the hash was."""
+
+    def test_equal_terms_hash_equal(self):
+        for kind in TermKind:
+            assert Term("babylon", kind) == Term("babylon", kind)
+            assert hash(Term("babylon", kind)) == hash(Term("babylon", kind)) == hash("babylon")
+
+    def test_kind_separates_terms_of_one_name(self):
+        plain, contextual = Term("x", TermKind.NON_CONTEXTUAL), Term("x", TermKind.CONTEXTUAL)
+        assert plain != contextual
+        assert len({plain, contextual}) == 2
+        assert {plain: 1, contextual: 2}[contextual] == 2
+
+    def test_repr_and_stable_hashes_are_pinned(self):
+        assert repr(Term.nc("babylon")) == "Term(name='babylon', kind=<TermKind.NON_CONTEXTUAL: 'nc'>)"
+        assert repr(Term.ctx("capital@CA")) == "Term(name='capital@CA', kind=<TermKind.CONTEXTUAL: 'c'>)"
+        statement = rassert("capital", "babylon", "babylonianEmpire")
+        assert stable_hash(statement) == "2b8fd359"
+        abox = [
+            rassert("validity", "a", "t"), cassert("Interval", "t"), rassert("from", "t", "609BC"),
+            rassert("to", "t", "539BC"), rassert("prov", "a", "w"), rassert("name", "w", "wikipedia"),
+            cassert("Wiki", "w"),
+        ]
+        assert validate_annotation(nc("a"), abox).ctx_id == "5498f868"
+        ca = validate_annotation(nc("a"), abox, ctx_id="CA")
+        rewritten = contextualize(Strategy.ND_TERMS, AnnotatedStatement(statement, ca))
+        assert stable_hash((rewritten.axioms, tuple(rewritten.sorted_signature()))) == "9fa22641"
+
+    def test_pickle_round_trip(self):
+        for term in (Term.nc("babylon"), Term.ctx("capital@CA"), Term.anchor("ctx@CA")):
+            again = pickle.loads(pickle.dumps(term))
+            assert again == term and hash(again) == hash(term)
+            assert again.kind is term.kind
 
 
 def test_nominals_invariants():

@@ -374,3 +374,14 @@ class TestUnprintableContextIds:
         assert back == ca
         assert parse(serialize(onto)).ontologies() == [onto]
         assert parse(serialize(interp, "m")).models() == [interp]
+
+
+class TestInterning:
+    def test_a_name_read_from_two_documents_is_one_object(self):
+        first = parse("ontology a { capital@CA(babylon, x) . }\n").ontologies()[0].axioms[0]
+        second = parse("annotation B anchor babylon { capital@CA(babylon, y) . }\n").annotations()[0].abox[0]
+        assert first.subject is second.subject
+        assert first.role.term is second.role.term
+        assert first.subject == Term.nc("babylon") and hash(first.subject) == hash(Term.nc("babylon"))
+        assert first.role.term == Term.ctx("capital@CA")
+        assert first.object != second.object
