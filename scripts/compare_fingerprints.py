@@ -12,7 +12,8 @@ fails (exit 1) when
   count of any one search call.
 
 A call that only the new side decides, or whose count falls, is allowed and
-counted in the summary. Exit 0 when nothing fails.
+counted in the summary, which also lists the first calls whose count fell,
+with their old and new totals. Exit 0 when nothing fails.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+
+
+LISTED = 20  # calls whose count fell, listed in the summary
 
 
 def load(path: Path) -> dict[str, dict]:
@@ -56,7 +60,8 @@ def compare(old_dir: Path, new_dir: Path) -> list[str]:
         if undecided == (False, False) and old != new:
             failures.append(f"{call_id}: verdict differs")
 
-    fell = same = 0
+    fell: list[str] = []
+    same = 0
     for call_id, old in old_counts.items():
         old_ticks, new_ticks = old["ticks"], new_counts[call_id]["ticks"]
         if rises(old_ticks, new_ticks):
@@ -64,11 +69,15 @@ def compare(old_dir: Path, new_dir: Path) -> list[str]:
         elif new_ticks == old_ticks:
             same += 1
         else:
-            fell += 1
+            fell.append(f"{call_id}: {sum(old_ticks)} -> {sum(new_ticks)}")
 
     print(f"{len(old_verdicts)} lines, {len(old_counts)} counted calls")
     print("decided by " + ", ".join(f"{who}: {n}" for who, n in decided.items()))
-    print(f"counts: {fell} fell, {same} unchanged, {len(old_counts) - fell - same} rose")
+    print(f"counts: {len(fell)} fell, {same} unchanged, {len(old_counts) - len(fell) - same} rose")
+    for line in fell[:LISTED]:
+        print(f"  fell {line}")
+    if len(fell) > LISTED:
+        print(f"  ... and {len(fell) - LISTED} more")
     return failures
 
 

@@ -136,6 +136,7 @@ def validate_annotation(
         if isinstance(ax, RoleAssert) and not isinstance(ax.role, RoleAtom):
             raise NotAnABoxError(ax)
 
+    signatures = [signature_of(ax) for ax in axioms]
     roots = _components(axioms)
     anchor_root = roots.get(anchor)
 
@@ -150,23 +151,23 @@ def validate_annotation(
     if axioms:
         if anchor_root is None:
             # The anchor itself never occurs: everything else is adrift.
-            disconnected |= {t for ax in axioms for t in signature_of(ax)}
+            disconnected.update(*signatures)
         else:
             for t in roots:
                 if roots[t] != anchor_root:
                     disconnected.add(t)
             # Names used only as concepts/roles need one connected host assertion.
             name_ok: dict[Term, bool] = {}
-            for ax in axioms:
+            for ax, sig in zip(axioms, signatures):
                 ok = hosts_connected(ax)
-                for name in signature_of(ax):
+                for name in sig:
                     if name not in roots:
                         name_ok[name] = name_ok.get(name, False) or ok
             disconnected |= {name for name, ok in name_ok.items() if not ok}
     if disconnected:
         raise DisconnectedError(frozenset(disconnected - {anchor}))
 
-    sigma = frozenset(t for ax in axioms for t in signature_of(ax)) - {anchor}
+    sigma = frozenset().union(*signatures) - {anchor}
     if ctx_id is None:
         ctx_id = stable_hash((anchor, axioms))
     return ContextualAnnotation(anchor=anchor, abox=axioms, sigma=sigma, ctx_id=ctx_id)

@@ -407,10 +407,13 @@ class Ontology:
         return sorted(self.signature, key=Term.sort_key)
 
 
-def stable_hash(value: object, digits: int = 8) -> str:
-    """Deterministic hex digest of a core value's canonical structure.
+def stable_hash(value: object) -> str:
+    """Eight hex digits of the SHA-256 of a core value's `repr`.
 
     Used to derive context ids and statement anchors, so equal inputs rename
-    identically across runs.
+    identically across runs. Deterministic only for values with no set
+    inside: a set's `repr` follows its iteration order, which for terms and
+    strings varies with `PYTHONHASHSEED`. Axioms, tuples of them and terms
+    hold no set; for an ontology, hash its axioms and sorted signature.
     """
-    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:digits]
+    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:8]

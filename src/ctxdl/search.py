@@ -9,19 +9,29 @@ Denotations are int masks over the domain {0..n-1}: an individual is an int,
 a concept or context top has bit x set for each member x, and a role has bit
 x*n+y set for each pair (x, y), so increasing bit order is the sorted-pair
 order. Each component gets an integer slot once per call; a partial
-assignment is a list indexed by slot, with None for unassigned. Each axiom is
-compiled once per call into closures over slots: an exact evaluator, an
-interval evaluator, and bound producers. Both evaluators follow one table of
-mask rules, one per compound constructor. The closures take the domain size
-at run time, so one compilation and one plan serve every size. Witnesses are
-decoded back into frozensets only when the `Interpretation` is built.
+assignment is a list indexed by slot, with None for unassigned.
+
+Every axiom is read as one inclusion `left ⊑ right` of masks: a concept or
+role inclusion keeps its sides, and an assertion's left side is its point,
+the singleton of its individual or of its pair. So an axiom holds when
+`left & ~right` is empty, and is settled under a partial assignment when the
+high end of `left` lies inside the low end of `right` (it holds) or the low
+end of `left` leaves the high end of `right` (it fails). Each side is
+compiled once per call into closures over slots: an exact evaluator and an
+interval evaluator, which follow one table of mask rules, one per compound
+constructor. The closures take the domain size at run time, so one
+compilation and one plan serve every size. Witnesses are decoded back into
+frozensets only when the `Interpretation` is built.
 
 Pruning machinery, in order of impact:
 
-* axiom constraints that pin a component from one side (assertions, atomic
-  inclusions, and the domain/range inclusion shapes produced by
-  relativization) become lower/upper bounds, so only subsets between the
-  bounds are enumerated;
+* an inclusion whose one side is an atom that the other side does not read
+  becomes a bound on that atom's component: an upper bound from the right
+  side, a lower bound from the left (an assertion's point is a forced
+  member), and an assertion required to fail excludes its point. Where the
+  role is an atom, the domain and range shapes `∃R.⊤ ⊑ D` and `⊤ ⊑ ∀R.C`
+  produced by relativization are read as `R ⊑ D×⊤` and `R ⊑ ⊤×C`, and bound
+  the role too. Only subsets between the bounds are enumerated;
 * a component whose every constraint is consumed as its bound is tried at
   its lower bound only, and needs no rule for that: its first candidate is
   the lower bound, no later check reads it, so no conflict set names it, and
@@ -335,6 +345,12 @@ def _exact(e, slots: Slots) -> Exact:
             return out
 
         return nominals
+    if e.__class__ is tuple:  # an assertion's point
+        s = _slot(slots, (IND, e[0]))
+        if len(e) == 1:
+            return lambda v, d: 1 << v[s]
+        o = _slot(slots, (IND, e[1]))
+        return lambda v, d: 1 << v[s] * d.n + v[o]
     op, _ = _mask_rule(e)
     fs = [_exact(c, slots) for c in children(e)]
     if len(fs) == 1:
@@ -376,6 +392,27 @@ def _interval(e, slots: Slots) -> Interval:
             return (lo, lo) if complete else (lo, d.full)
 
         return nominals
+    if e.__class__ is tuple:  # an assertion's point: open while an individual is unassigned
+        s = _slot(slots, (IND, e[0]))
+        if len(e) == 1:
+
+            def point(v, d):
+                x = v[s]
+                if x is None:
+                    return 0, d.full
+                return 1 << x, 1 << x
+
+            return point
+        o = _slot(slots, (IND, e[1]))
+
+        def pair(v, d):
+            x, y = v[s], v[o]
+            if x is None or y is None:
+                return 0, d.pairs
+            bit = 1 << x * d.n + y
+            return bit, bit
+
+        return pair
     # The operation on the bounds: a child's lower bound gives the lower
     # result where the operation is monotone in it, its upper bound where
     # antitone.
@@ -400,28 +437,55 @@ def _interval(e, slots: Slots) -> Interval:
     return binary
 
 
-def _compile_holds(ax: Axiom, slots: Slots) -> Callable[[Vals, _Domain], bool]:
-    """Whether the axiom holds under a total assignment of its components."""
-    if isinstance(ax, (ConceptSub, RoleSub)):
-        f, g = _exact(ax.left, slots), _exact(ax.right, slots)
-        return lambda v, d: not f(v, d) & ~g(v, d)
+# ---------------------------------------------------------------------------
+# Constraints and bound producers
+# ---------------------------------------------------------------------------
+
+
+def _inclusion(ax: Axiom) -> tuple:
+    """The axiom read as an inclusion `(left, right)`. An assertion's left
+    side is its point, the tuple of its individuals, which `_exact` and
+    `_interval` compile as a leaf. The domain and range shapes `∃R.⊤ ⊑ D`
+    and `⊤ ⊑ ∀R.C` of an atomic role R are read as `R ⊑ D×⊤` and
+    `R ⊑ ⊤×C`, so R is bounded like an atom on the left of any inclusion."""
     if isinstance(ax, ConceptAssert):
-        c, s = _exact(ax.concept, slots), _slot(slots, (IND, ax.individual))
-        return lambda v, d: c(v, d) >> v[s] & 1 == 1
+        return (ax.individual,), ax.concept
     if isinstance(ax, RoleAssert):
-        r = _exact(ax.role, slots)
-        s, o = _slot(slots, (IND, ax.subject)), _slot(slots, (IND, ax.object))
-        return lambda v, d: r(v, d) >> v[s] * d.n + v[o] & 1 == 1
-    raise TypeError(f"not an axiom: {ax!r}")
+        return (ax.subject, ax.object), ax.role
+    if not isinstance(ax, (ConceptSub, RoleSub)):
+        raise TypeError(f"not an axiom: {ax!r}")
+    left, right = ax.left, ax.right
+    if isinstance(left, Exists) and isinstance(left.concept, Top) and isinstance(left.role, RoleAtom):
+        return left.role, Product(right, Top())
+    if isinstance(left, Top) and isinstance(right, Forall) and isinstance(right.role, RoleAtom):
+        return right.role, Product(Top(), right.concept)
+    return left, right
 
 
-def _compile_decide(ax: Axiom, slots: Slots) -> Callable[[Vals, _Domain], Optional[bool]]:
-    """True / False when the axiom is settled under every completion of the
-    partial assignment; None when still open."""
-    if isinstance(ax, (ConceptSub, RoleSub)):
-        f, g = _interval(ax.left, slots), _interval(ax.right, slots)
+class _Constraint:
+    """An axiom required to hold (positive) or to fail, read as the inclusion
+    `left ⊑ right` and compiled over slots on first use. `comps` holds the
+    slots of the components it reads."""
 
-        def decide_sub(v, d):
+    def __init__(self, axiom: Axiom, positive: bool, slots: Slots):
+        self.positive = positive
+        self.left, self.right = _inclusion(axiom)
+        self.comps = frozenset(_slot(slots, comp) for comp in _comps(axiom))
+        self.slots = slots
+
+    @cached_property
+    def holds(self) -> Callable[[Vals, _Domain], bool]:
+        """Whether the axiom holds under a total assignment of its components."""
+        f, g = _exact(self.left, self.slots), _exact(self.right, self.slots)
+        return lambda v, d: not f(v, d) & ~g(v, d)
+
+    @cached_property
+    def decide(self) -> Callable[[Vals, _Domain], Optional[bool]]:
+        """True / False when the axiom is settled under every completion of
+        the partial assignment; None when still open."""
+        f, g = _interval(self.left, self.slots), _interval(self.right, self.slots)
+
+        def decide(v, d):
             (llo, lhi), (rlo, rhi) = f(v, d), g(v, d)
             if not lhi & ~rlo:
                 return True
@@ -429,64 +493,7 @@ def _compile_decide(ax: Axiom, slots: Slots) -> Callable[[Vals, _Domain], Option
                 return False
             return None
 
-        return decide_sub
-    if isinstance(ax, ConceptAssert):
-        c, s = _interval(ax.concept, slots), _slot(slots, (IND, ax.individual))
-
-        def decide_member(v, d):
-            e = v[s]
-            if e is None:
-                return None
-            lo, hi = c(v, d)
-            if lo >> e & 1:
-                return True
-            if not hi >> e & 1:
-                return False
-            return None
-
-        return decide_member
-    if isinstance(ax, RoleAssert):
-        r = _interval(ax.role, slots)
-        s, o = _slot(slots, (IND, ax.subject)), _slot(slots, (IND, ax.object))
-
-        def decide_pair(v, d):
-            x, y = v[s], v[o]
-            if x is None or y is None:
-                return None
-            lo, hi = r(v, d)
-            bit = x * d.n + y
-            if lo >> bit & 1:
-                return True
-            if not hi >> bit & 1:
-                return False
-            return None
-
-        return decide_pair
-    raise TypeError(f"not an axiom: {ax!r}")
-
-
-# ---------------------------------------------------------------------------
-# Constraints and bound producers
-# ---------------------------------------------------------------------------
-
-
-class _Constraint:
-    """An axiom required to hold (positive) or to fail, compiled over slots on
-    first use. `comps` holds the slots of the components it reads."""
-
-    def __init__(self, axiom: Axiom, positive: bool, slots: Slots):
-        self.axiom = axiom
-        self.positive = positive
-        self.comps = frozenset(_slot(slots, comp) for comp in _comps(axiom))
-        self.slots = slots
-
-    @cached_property
-    def holds(self) -> Callable[[Vals, _Domain], bool]:
-        return _compile_holds(self.axiom, self.slots)
-
-    @cached_property
-    def decide(self) -> Callable[[Vals, _Domain], Optional[bool]]:
-        return _compile_decide(self.axiom, self.slots)
+        return decide
 
 
 Bound = Callable[[Vals, _Domain], int]
@@ -495,65 +502,39 @@ Bound = Callable[[Vals, _Domain], int]
 class _Producer:
     """A constraint consumed as a bound on one component once its other
     components are assigned: the kind, "L" (forced members), "U" (allowed
-    members) or "X" (excluded members), and `bound`, the closure giving the
-    bound's mask. `lifted` gives a bound that stays valid while a component
-    holds a bracket: `expr`, the expression whose value is the mask, under
-    interval semantics, its low end for "L" and its high end for "U". It is
-    compiled on first use. An assertion's bound has no `expr`: it reads
-    individuals only, which are assigned before any other component."""
+    members) or "X" (excluded members), `expr`, the side of the inclusion
+    whose value is the bound's mask, and `bound`, its exact closure.
+    `lifted` gives a bound that stays valid while a component holds a
+    bracket: `expr` under interval semantics, its low end for "L" and "X"
+    and its high end for "U". It is compiled on first use."""
 
-    def __init__(self, kind: str, bound: Bound, expr=None, slots: Optional[Slots] = None):
+    def __init__(self, kind: str, expr, slots: Slots):
         self.kind = kind
-        self.bound = bound
         self.expr = expr
         self.slots = slots
+        self.bound: Bound = _exact(expr, slots)
 
     @cached_property
     def lifted(self) -> Bound:
-        if self.expr is None:
-            return self.bound
         f, end = _interval(self.expr, self.slots), 1 if self.kind == "U" else 0
         return lambda v, d: f(v, d)[end]
 
 
 def _producer(con: _Constraint, target: CompKey) -> Optional[_Producer]:
-    """`con` consumed as a bound on `target`, or None when it is not one."""
-    ax, slots = con.axiom, con.slots
-
-    def of(kind: str, expr) -> _Producer:
-        return _Producer(kind, _exact(expr, slots), expr, slots)
-
-    if isinstance(ax, RoleAssert):
-        if _atom_comp(ax.role) == target:
-            s, o = slots[(IND, ax.subject)], slots[(IND, ax.object)]
-            return _Producer("L" if con.positive else "X", lambda v, d: 1 << v[s] * d.n + v[o])
-        return None
-    if isinstance(ax, ConceptAssert):
-        if _atom_comp(ax.concept) == target:
-            s = slots[(IND, ax.individual)]
-            return _Producer("L" if con.positive else "X", lambda v, d: 1 << v[s])
-        return None
+    """`con` consumed as a bound on `target`, or None when it is not one.
+    Where the other side does not read it, the atom on the left of a
+    positive inclusion is bounded above by the right side, and the atom on
+    the right below by the left side; an assertion required to fail
+    excludes its point."""
+    left, right, slots = con.left, con.right, con.slots
+    point = left.__class__ is tuple
     if not con.positive:
-        return None
-    left, right = ax.left, ax.right
+        return _Producer("X", left, slots) if point and _atom_comp(right) == target else None
     if _atom_comp(left) == target and target not in _comps(right):
-        return of("U", right)
-    if _atom_comp(right) == target and target not in _comps(left):
-        return of("L", left)
-    if (
-        isinstance(left, Exists)
-        and isinstance(left.concept, Top)
-        and _atom_comp(left.role) == target
-        and target not in _comps(right)
-    ):
-        return of("U", Product(right, Top()))  # domain of role within rhs
-    if (
-        isinstance(left, Top)
-        and isinstance(right, Forall)
-        and _atom_comp(right.role) == target
-        and target not in _comps(right.concept)
-    ):
-        return of("U", Product(Top(), right.concept))  # range of role within filler
+        return _Producer("U", right, slots)
+    # A point reads individuals only, never the target.
+    if _atom_comp(right) == target and (point or target not in _comps(left)):
+        return _Producer("L", left, slots)
     return None
 
 
@@ -844,15 +825,9 @@ def _solve_at_size(problem: _Problem, slots: Slots, n: int, budget: _Budget) -> 
     return vals
 
 
-def _collect_ctx_ids(*ontologies: Ontology) -> set[str]:
-    return {
-        node.ctx_id for onto in ontologies for ax in onto.axioms for node in walk(ax) if isinstance(node, TopCtx)
-    }
-
-
-def _build_interpretation(
-    vals: Vals, slots: Slots, n: int, terms: set[Term], ctx_ids: set[str]
-) -> Interpretation:
+def _build_interpretation(vals: Vals, slots: Slots, n: int, terms: set[Term]) -> Interpretation:
+    """The model of a solved assignment over `terms`, with a context top for
+    each one the constraints read: those are the `TOPCTX` keys of `slots`."""
     # Terms with equal denotations share one decoded frozenset.
     sets: dict[int, frozenset[int]] = {}
     relations: dict[int, frozenset[tuple[int, int]]] = {}
@@ -878,7 +853,7 @@ def _build_interpretation(
         indiv={t: value((IND, t)) for t in terms},
         conc={t: subset((CONC, t)) for t in terms},
         role={t: relation((ROLE, t)) for t in terms},
-        top_ctx={cid: subset((TOPCTX, cid)) for cid in ctx_ids},
+        top_ctx={key: subset((aspect, key)) for aspect, key in slots if aspect == TOPCTX},
     )
 
 
@@ -896,11 +871,10 @@ def find_model(ontology: Ontology, max_size: int, *, budget: Optional[int] = Non
     tracker = _Budget(DEFAULT_BUDGET if budget is None else budget)
     slots: Slots = {}
     problem = _prepare([_Constraint(ax, True, slots) for ax in ontology.axioms], slots)
-    ctx_ids = _collect_ctx_ids(ontology)
     for n in range(1, max_size + 1):
         vals = _solve_at_size(problem, slots, n, tracker)
         if vals is not None:
-            interp = _build_interpretation(vals, slots, n, set(ontology.signature), ctx_ids)
+            interp = _build_interpretation(vals, slots, n, set(ontology.signature))
             return SatisfiableAt(interp, n)
     return NoModelUpTo(max_size)
 
@@ -922,15 +896,16 @@ def check_entailment(premise: Ontology, conclusion: Ontology, max_size: int, *, 
         return NoCounterexampleUpTo(max_size)
     slots: Slots = {}
     base = [_Constraint(ax, True, slots) for ax in premise.axioms]
+    # Built up front, so that `slots` holds every component a witness shows.
+    negated = [_Constraint(ax, False, slots) for ax in targets]
     problems: list[Optional[_Problem]] = [None] * len(targets)  # planned on first use
     all_terms = set(premise.signature) | set(conclusion.signature)
-    ctx_ids = _collect_ctx_ids(premise, conclusion)
     for n in range(1, max_size + 1):
-        for k, target in enumerate(targets):
+        for k, target in enumerate(negated):
             if problems[k] is None:
-                problems[k] = _prepare(base + [_Constraint(target, False, slots)], slots)
+                problems[k] = _prepare(base + [target], slots)
             vals = _solve_at_size(problems[k], slots, n, tracker)
             if vals is not None:
-                interp = _build_interpretation(vals, slots, n, all_terms, ctx_ids)
+                interp = _build_interpretation(vals, slots, n, all_terms)
                 return NotEntailed(interp)
     return NoCounterexampleUpTo(max_size)

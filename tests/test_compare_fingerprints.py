@@ -63,6 +63,25 @@ def test_newly_decided_call_with_falling_count_passes(tmp_path, capsys):
     assert "1 fell" in out
 
 
+def test_calls_whose_count_fell_are_listed_with_old_and_new_totals(tmp_path, capsys):
+    code, out = run(tmp_path, changed(2, ticks=[4, 5]), capsys)
+    assert code == 0
+    assert "counts: 1 fell, 2 unchanged, 0 rose\n  fell witness/1/c: 13 -> 9\n" in out
+
+
+def test_only_the_first_twenty_fallen_calls_are_listed(tmp_path, capsys):
+    old = [({"id": f"refute/1/{i:02d}", "verdict": ["NoModelUpTo", None, 3, None]}, [100 + i]) for i in range(23)]
+    new = [(record, [ticks[0] - 1]) for record, ticks in old]
+    code = compare_fingerprints.main([str(write(tmp_path / "old", old)), str(write(tmp_path / "new", new))])
+    out = capsys.readouterr().out
+    assert code == 0
+    listed = [line for line in out.splitlines() if line.startswith("  fell ")]
+    assert listed[0] == "  fell refute/1/00: 100 -> 99"
+    assert listed[-1] == "  fell refute/1/19: 119 -> 118"
+    assert len(listed) == 20
+    assert out.endswith("  ... and 3 more\n")
+
+
 @pytest.mark.parametrize("index, record", [
     (0, {"id": "refute/1/a", "verdict": ["SatisfiableAt", 2, None, "model witness {\n  domain 2 .\n}\n"]}),
     (2, {"id": "witness/1/c", "outcome": "holds", "premises": [WITNESS],

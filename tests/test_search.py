@@ -47,7 +47,6 @@ from ctxdl.search import (
     ROLE,
     TOPCTX,
     _comp_sort_key,
-    _compile_holds,
     _comps,
     _Constraint,
     _decode_pairs,
@@ -229,7 +228,7 @@ class TestMaskKernel:
             slots = {}
             concept_fn = _exact(concept, slots)
             role_fn = _exact(role, slots)
-            holds_fn = _compile_holds(axiom, slots)
+            holds_fn = _Constraint(axiom, True, slots).holds
             vals = encode(interp, slots)
             assert _decode_set(concept_fn(vals, dom)) == eval_concept(concept, interp)
             assert _decode_pairs(role_fn(vals, dom), size) == eval_role(role, interp)
@@ -375,6 +374,46 @@ class TestBracketReadings:
                 assert not lifted & ~exact, axiom
             kinds.add(prod.kind)
         assert kinds == {"L", "U", "X"}
+
+
+class TestDecide:
+    """Every axiom form is decided as one inclusion `left ⊑ right`: settled
+    only the way every completion of the partial assignment settles it."""
+
+    def test_settles_only_as_the_full_interpretation_does(self):
+        rng = random.Random(43)
+        terms = term_pool(3)
+        forms, verdicts = set(), set()
+        for _ in range(800):
+            size = rng.randint(1, 3)
+            full = random_interpretation(rng, terms, size)
+            if rng.random() < 0.5:
+                axiom = random_axiom(rng, terms, rng.randint(0, 2))
+            else:  # the atom-sided shapes, the domain and range shapes among them
+                axiom = producer_axiom(rng, terms, rng.choice(terms))[0]
+            slots = {}
+            decide = _Constraint(axiom, True, slots).decide
+            dom = _Domain(size)
+            expected = satisfies(full, axiom)
+            assert decide(encode(full, slots), dom) is expected, axiom
+            # One bracketed atom, and sometimes an unassigned individual.
+            exposed = {c for c in slots if c[0] == IND or rng.random() < 0.5}
+            individuals = [c for c in slots if c[0] == IND]
+            if individuals and rng.random() < 0.3:
+                exposed.discard(rng.choice(individuals))
+            vals = encode(full, slots, exposed)
+            bracket_one_atom(rng, full, slots, vals, dom)
+            verdict = decide(vals, dom)
+            assert verdict is None or verdict is expected, axiom
+            forms.add(type(axiom))
+            verdicts.add(verdict)
+        assert forms == {ConceptSub, RoleSub, ConceptAssert, RoleAssert}
+        assert verdicts == {True, False, None}
+
+    @pytest.mark.parametrize("value", [ConceptAtom(Term.nc("C")), RoleAtom(Term.nc("R")), Term.nc("a")])
+    def test_rejects_non_axioms(self, value):
+        with pytest.raises(TypeError):
+            _Constraint(value, True, {})
 
 
 def backtracking_has_model(constraints, terms, max_size):
