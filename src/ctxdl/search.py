@@ -16,12 +16,14 @@ role inclusion keeps its sides, and an assertion's left side is its point,
 the singleton of its individual or of its pair. So an axiom holds when
 `left & ~right` is empty, and is settled under a partial assignment when the
 high end of `left` lies inside the low end of `right` (it holds) or the low
-end of `left` leaves the high end of `right` (it fails). Each side is
-compiled once per call into closures over slots: an exact evaluator and an
-interval evaluator, which follow one table of mask rules, one per compound
-constructor. The closures take the domain size at run time, so one
-compilation and one plan serve every size. Witnesses are decoded back into
-frozensets only when the `Interpretation` is built.
+end of `left` leaves the high end of `right` (it fails). Planning is one
+compile walk per side: it builds the side's exact closure over slots and
+collects the slots the side reads, which give the constraint's components
+and the atoms it can bound; a bound reuses that closure. Interval closures
+are compiled on first use, for checked axioms and lifted bounds. Both
+follow one table of mask rules, one per compound constructor, and take the
+domain size at run time, so one plan serves every size. A witness is
+decoded from the slots in one pass.
 
 Pruning machinery, in order of impact:
 
@@ -92,8 +94,6 @@ from .core import (
     Top,
     TopCtx,
     children,
-    own_terms,
-    walk,
 )
 from .semantics import (  # noqa: F401  eval_*/satisfies: re-exported replay evaluator
     BoundTooLargeError,
@@ -117,11 +117,6 @@ Slots = dict  # CompKey -> slot index, filled as constraints are compiled
 Vals = list  # slot -> int (individual) / mask, or None while unassigned
 
 
-def _comp_sort_key(comp: CompKey) -> tuple[str, ...]:
-    aspect, key = comp
-    return (aspect, *key.sort_key()) if isinstance(key, Term) else (aspect, key)
-
-
 def _slot(slots: Slots, comp: CompKey) -> int:
     return slots.setdefault(comp, len(slots))
 
@@ -131,27 +126,12 @@ def _slot(slots: Slots, comp: CompKey) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _atom_comp(e) -> Optional[CompKey]:
-    """The component an atom reads; None for every other node."""
-    if isinstance(e, TopCtx):
-        return (TOPCTX, e.ctx_id)
-    if isinstance(e, ConceptAtom):
-        return (CONC, e.term)
-    if isinstance(e, RoleAtom):
-        return (ROLE, e.term)
-    return None
-
-
-def _comps(x) -> frozenset[CompKey]:
-    """The components an axiom or expression reads."""
-    acc: set[CompKey] = set()
-    for node in walk(x):
-        comp = _atom_comp(node)
-        if comp is not None:
-            acc.add(comp)
-        else:
-            acc.update((IND, t) for t in own_terms(node))
-    return frozenset(acc)
+# The component each type of atom reads; no other node reads one itself.
+_ATOMS: dict[type, Callable[..., CompKey]] = {
+    TopCtx: lambda e: (TOPCTX, e.ctx_id),
+    ConceptAtom: lambda e: (CONC, e.term),
+    RoleAtom: lambda e: (ROLE, e.term),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +306,13 @@ def _mask_rule(e) -> tuple[Callable, tuple[bool, ...]]:
     return make(e), monotone
 
 
-def _exact(e, slots: Slots) -> Exact:
-    comp = _atom_comp(e)
-    if comp is not None:
-        s = _slot(slots, comp)
+def _exact(e, slots: Slots, reads: set[int]) -> Exact:
+    """The exact closure of `e`; `reads` gains the slot of each component
+    it reads."""
+    read = _ATOMS.get(e.__class__)
+    if read is not None:
+        s = _slot(slots, read(e))
+        reads.add(s)
         return lambda v, d: v[s]
     if isinstance(e, Top):
         return lambda v, d: d.full
@@ -337,6 +320,7 @@ def _exact(e, slots: Slots) -> Exact:
         return lambda v, d: 0
     if isinstance(e, Nominals):
         members = [_slot(slots, (IND, u)) for u in e.members]
+        reads.update(members)
 
         def nominals(v, d):
             out = 0
@@ -347,12 +331,14 @@ def _exact(e, slots: Slots) -> Exact:
         return nominals
     if e.__class__ is tuple:  # an assertion's point
         s = _slot(slots, (IND, e[0]))
+        reads.add(s)
         if len(e) == 1:
             return lambda v, d: 1 << v[s]
         o = _slot(slots, (IND, e[1]))
+        reads.add(o)
         return lambda v, d: 1 << v[s] * d.n + v[o]
     op, _ = _mask_rule(e)
-    fs = [_exact(c, slots) for c in children(e)]
+    fs = [_exact(c, slots, reads) for c in children(e)]
     if len(fs) == 1:
         (f,) = fs
         return lambda v, d: op(f(v, d), d)
@@ -361,9 +347,9 @@ def _exact(e, slots: Slots) -> Exact:
 
 
 def _interval(e, slots: Slots) -> Interval:
-    comp = _atom_comp(e)
-    if comp is not None:
-        s, role = _slot(slots, comp), comp[0] == ROLE
+    read = _ATOMS.get(e.__class__)
+    if read is not None:
+        s, role = _slot(slots, read(e)), e.__class__ is RoleAtom
 
         def atom(v, d):
             val = v[s]
@@ -462,21 +448,48 @@ def _inclusion(ax: Axiom) -> tuple:
     return left, right
 
 
+def _side(e, slots: Slots, reads: set[int]) -> Optional[Exact]:
+    """`_exact(e, slots, reads)`, but None for an atom: most atom sides are
+    where a bound goes and are never evaluated, so `_Constraint.exact_of`
+    builds theirs on use."""
+    read = _ATOMS.get(e.__class__)
+    if read is None:
+        return _exact(e, slots, reads)
+    reads.add(_slot(slots, read(e)))
+    return None
+
+
 class _Constraint:
     """An axiom required to hold (positive) or to fail, read as the inclusion
-    `left ⊑ right` and compiled over slots on first use. `comps` holds the
-    slots of the components it reads."""
+    `left ⊑ right`, each side compiled to `exact` in the walk that collects
+    the slots it reads. `comps` holds the slots of both sides. `upper` is
+    the slot of an atom on the left that the right side does not read, and
+    `lower` that of an atom on the right that the left side does not read
+    (for a negative constraint, only against a point), or None: the atoms
+    `_producer` can bound."""
 
     def __init__(self, axiom: Axiom, positive: bool, slots: Slots):
         self.positive = positive
-        self.left, self.right = _inclusion(axiom)
-        self.comps = frozenset(_slot(slots, comp) for comp in _comps(axiom))
+        self.left, self.right = left, right = _inclusion(axiom)
         self.slots = slots
+        left_reads, right_reads = set(), set()
+        self.exact = _side(left, slots, left_reads), _side(right, slots, right_reads)
+        self.comps = tuple(left_reads | right_reads)
+        # An atom side reads one slot, so the other side reads it only
+        # where the two sides share a slot.
+        apart = left_reads.isdisjoint(right_reads)
+        self.upper = min(left_reads) if apart and positive and left.__class__ in _ATOMS else None
+        point = left.__class__ is tuple
+        self.lower = min(right_reads) if apart and (positive or point) and right.__class__ in _ATOMS else None
+
+    def exact_of(self, side: int) -> Exact:
+        """The exact closure of the left (0) or right (1) side."""
+        return self.exact[side] or _exact((self.left, self.right)[side], self.slots, set())
 
     @cached_property
     def holds(self) -> Callable[[Vals, _Domain], bool]:
         """Whether the axiom holds under a total assignment of its components."""
-        f, g = _exact(self.left, self.slots), _exact(self.right, self.slots)
+        f, g = self.exact_of(0), self.exact_of(1)
         return lambda v, d: not f(v, d) & ~g(v, d)
 
     @cached_property
@@ -503,16 +516,16 @@ class _Producer:
     """A constraint consumed as a bound on one component once its other
     components are assigned: the kind, "L" (forced members), "U" (allowed
     members) or "X" (excluded members), `expr`, the side of the inclusion
-    whose value is the bound's mask, and `bound`, its exact closure.
+    whose value is the bound's mask, and `bound`, that side's exact closure.
     `lifted` gives a bound that stays valid while a component holds a
     bracket: `expr` under interval semantics, its low end for "L" and "X"
     and its high end for "U". It is compiled on first use."""
 
-    def __init__(self, kind: str, expr, slots: Slots):
+    def __init__(self, kind: str, expr, bound: Bound, slots: Slots):
         self.kind = kind
         self.expr = expr
+        self.bound = bound
         self.slots = slots
-        self.bound: Bound = _exact(expr, slots)
 
     @cached_property
     def lifted(self) -> Bound:
@@ -520,21 +533,16 @@ class _Producer:
         return lambda v, d: f(v, d)[end]
 
 
-def _producer(con: _Constraint, target: CompKey) -> Optional[_Producer]:
-    """`con` consumed as a bound on `target`, or None when it is not one.
-    Where the other side does not read it, the atom on the left of a
+def _producer(con: _Constraint, target: int) -> Optional[_Producer]:
+    """`con` consumed as a bound on the slot `target`, or None when it is not
+    one. Where the other side does not read it, the atom on the left of a
     positive inclusion is bounded above by the right side, and the atom on
     the right below by the left side; an assertion required to fail
     excludes its point."""
-    left, right, slots = con.left, con.right, con.slots
-    point = left.__class__ is tuple
-    if not con.positive:
-        return _Producer("X", left, slots) if point and _atom_comp(right) == target else None
-    if _atom_comp(left) == target and target not in _comps(right):
-        return _Producer("U", right, slots)
-    # A point reads individuals only, never the target.
-    if _atom_comp(right) == target and (point or target not in _comps(left)):
-        return _Producer("L", left, slots)
+    if target == con.upper:
+        return _Producer("U", con.right, con.exact_of(1), con.slots)
+    if target == con.lower:
+        return _Producer("L" if con.positive else "X", con.left, con.exact_of(0), con.slots)
     return None
 
 
@@ -574,19 +582,16 @@ class _Plan:
     watch_at: list[list[tuple[Callable, bool, int]]]
 
 
-def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: Sequence[CompKey]) -> _Plan:
-    """`comps` are slots; `keys[slot]` is the component of a slot."""
-    degree: dict[int, int] = {c: 0 for c in comps}
+_PHASE = {IND: 0, TOPCTX: 1, CONC: 1, ROLE: 2}
+
+
+def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: Sequence[tuple]) -> _Plan:
+    """`comps` are slots; `keys[slot]` is the sort key of a slot's component, aspect first."""
+    degree = dict.fromkeys(comps, 0)
     for con in constraints:
         for c in con.comps:
             degree[c] += 1
-
-    phase = {IND: 0, TOPCTX: 1, CONC: 1, ROLE: 2}
-
-    def order_key(c: int):
-        return (phase[keys[c][0]], -degree[c], _comp_sort_key(keys[c]))
-
-    order = sorted(comps, key=order_key)
+    order = sorted(comps, key=lambda c: (_PHASE[keys[c][0]], -degree[c], keys[c]))
     position = {c: idx for idx, c in enumerate(order)}
 
     producers_at: list[list] = [[] for _ in order]
@@ -597,10 +602,10 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
         positions = 0
         for c in con.comps:
             positions |= 1 << position[c]
-        last = max(con.comps, key=position.__getitem__)
-        i = position[last]
+        i = positions.bit_length() - 1
+        last = order[i]
         others = positions & ~(1 << i)
-        prod = _producer(con, keys[last])
+        prod = _producer(con, last)
         if prod is not None:
             producers_at[i].append(prod)
             producer_reads[i] |= others
@@ -757,9 +762,12 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
 
 
 def _group_constraints(
-    constraints: Sequence[_Constraint], keys: Sequence[CompKey]
+    constraints: Sequence[_Constraint], keys: Sequence[tuple]
 ) -> list[tuple[list[int], list[_Constraint]]]:
-    parent: dict[int, int] = {}
+    """The connected components of the constraints, each as (slots,
+    constraints), in solving order; `parent[slot]` is -1 while no
+    constraint reads the slot."""
+    parent = [-1] * len(keys)
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -767,32 +775,27 @@ def _group_constraints(
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
     for con in constraints:
         for c in con.comps:
-            parent.setdefault(c, c)
-    for con in constraints:
-        cs = list(con.comps)
-        for other in cs[1:]:
-            union(cs[0], other)
+            if parent[c] < 0:
+                parent[c] = c
+        root = find(con.comps[0])
+        for c in con.comps[1:]:
+            parent[find(c)] = root
 
     groups: dict[int, tuple[list[int], list[_Constraint]]] = {}
-    for c in parent:
-        groups.setdefault(find(c), ([], []))[0].append(c)
+    for c, p in enumerate(parent):
+        if p >= 0:
+            groups.setdefault(find(c), ([], []))[0].append(c)
     for con in constraints:
-        if con.comps:
-            groups[find(next(iter(con.comps)))][1].append(con)
+        groups[find(con.comps[0])][1].append(con)
 
-    def group_key(item: tuple[int, tuple[list, list]]):
-        comps, cons = item[1]
+    def group_key(group: tuple[list[int], list[_Constraint]]):
+        comps, cons = group
         has_negative = any(not con.positive for con in cons)
-        return (0 if has_negative else 1, min(_comp_sort_key(keys[c]) for c in comps))
+        return (0 if has_negative else 1, min(keys[c] for c in comps))
 
-    return [grp for _, grp in sorted(groups.items(), key=group_key)]
+    return sorted(groups.values(), key=group_key)
 
 
 @dataclass
@@ -805,7 +808,8 @@ class _Problem:
 
 
 def _prepare(constraints: list[_Constraint], slots: Slots) -> _Problem:
-    keys = list(slots)  # slots are numbered in insertion order
+    # One sort key per slot; slots are numbered in insertion order.
+    keys = [(aspect, *key.sort_key()) if isinstance(key, Term) else (aspect, key) for aspect, key in slots]
     grouped = _group_constraints([c for c in constraints if c.comps], keys)
     return _Problem(
         [c for c in constraints if not c.comps],
@@ -827,34 +831,27 @@ def _solve_at_size(problem: _Problem, slots: Slots, n: int, budget: _Budget) -> 
 
 def _build_interpretation(vals: Vals, slots: Slots, n: int, terms: set[Term]) -> Interpretation:
     """The model of a solved assignment over `terms`, with a context top for
-    each one the constraints read: those are the `TOPCTX` keys of `slots`."""
-    # Terms with equal denotations share one decoded frozenset.
-    sets: dict[int, frozenset[int]] = {}
-    relations: dict[int, frozenset[tuple[int, int]]] = {}
-
-    def value(comp: CompKey) -> int:
-        slot = slots.get(comp)
-        return 0 if slot is None or vals[slot] is None else vals[slot]
-
-    def subset(comp: CompKey) -> frozenset[int]:
-        mask = value(comp)
-        if mask not in sets:
-            sets[mask] = _decode_set(mask)
-        return sets[mask]
-
-    def relation(comp: CompKey) -> frozenset[tuple[int, int]]:
-        mask = value(comp)
-        if mask not in relations:
-            relations[mask] = _decode_pairs(mask, n)
-        return relations[mask]
-
-    return Interpretation(
-        size=n,
-        indiv={t: value((IND, t)) for t in terms},
-        conc={t: subset((CONC, t)) for t in terms},
-        role={t: relation((ROLE, t)) for t in terms},
-        top_ctx={key: subset((aspect, key)) for aspect, key in slots if aspect == TOPCTX},
-    )
+    each `TOPCTX` key of `slots`; an absent or unassigned slot reads as 0."""
+    # `dict.fromkeys` of a set reuses its stored hashes. Terms with equal
+    # denotations share one decoded frozenset.
+    empty: frozenset = frozenset()
+    indiv, conc, role = dict.fromkeys(terms, 0), dict.fromkeys(terms, empty), dict.fromkeys(terms, empty)
+    top_ctx: dict[str, frozenset[int]] = {}
+    sets: dict[int, frozenset[int]] = {0: empty}
+    relations: dict[int, frozenset[tuple[int, int]]] = {0: empty}
+    for (aspect, key), slot in slots.items():
+        mask = vals[slot] or 0
+        if aspect == IND:
+            indiv[key] = mask
+        elif aspect == ROLE:
+            if mask not in relations:
+                relations[mask] = _decode_pairs(mask, n)
+            role[key] = relations[mask]
+        else:
+            if mask not in sets:
+                sets[mask] = _decode_set(mask)
+            (conc if aspect == CONC else top_ctx)[key] = sets[mask]
+    return Interpretation(size=n, indiv=indiv, conc=conc, role=role, top_ctx=top_ctx)
 
 
 def find_model(ontology: Ontology, max_size: int, *, budget: Optional[int] = None):

@@ -4,7 +4,9 @@
 comprehensions over explicit domain loops, deliberately written apart from
 the library evaluator so the two can be compared. `all_interpretations`
 enumerates every interpretation over a signature at a fixed domain size for
-brute-force model checks.
+brute-force model checks. `components` reads the denotation components an
+axiom reads straight from the expression tree, apart from the search's own
+compile walk.
 """
 
 import itertools
@@ -35,8 +37,35 @@ from ctxdl.core import (
     Term,
     Top,
     TopCtx,
+    own_terms,
+    walk,
 )
+from ctxdl.search import CONC, IND, ROLE, TOPCTX
 from ctxdl.semantics import Interpretation
+
+
+def components(x):
+    """The denotation components an axiom or expression reads, named as the
+    search names them: `(CONC, term)` / `(ROLE, term)` for each atom,
+    `(TOPCTX, id)` for each context top, and `(IND, term)` for each term a
+    nominal or an assertion holds itself."""
+    acc = set()
+    for node in walk(x):
+        if isinstance(node, ConceptAtom):
+            acc.add((CONC, node.term))
+        elif isinstance(node, RoleAtom):
+            acc.add((ROLE, node.term))
+        elif isinstance(node, TopCtx):
+            acc.add((TOPCTX, node.ctx_id))
+        else:
+            acc.update((IND, t) for t in own_terms(node))
+    return frozenset(acc)
+
+
+def component_sort_key(comp):
+    """A total order on components that does not depend on hashing."""
+    aspect, key = comp
+    return (aspect, *key.sort_key()) if isinstance(key, Term) else (aspect, key)
 
 
 def direct_concept(expr, interp, reflexive_closure=True):

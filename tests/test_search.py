@@ -46,8 +46,6 @@ from ctxdl.search import (
     IND,
     ROLE,
     TOPCTX,
-    _comp_sort_key,
-    _comps,
     _Constraint,
     _decode_pairs,
     _decode_set,
@@ -80,7 +78,13 @@ from ctxdl.verify import (
 )
 
 from generators import random_axiom, random_concept, random_interpretation, random_role, term_pool
-from oracles import all_interpretations, brute_force_has_model, collect_ctx_ids
+from oracles import (
+    all_interpretations,
+    brute_force_has_model,
+    collect_ctx_ids,
+    component_sort_key,
+    components,
+)
 
 
 def random_small_ontology(rng, n_terms, n_axioms, depth=1):
@@ -226,8 +230,8 @@ class TestMaskKernel:
             role = random_role(rng, terms, rng.randint(0, 3))
             axiom = random_axiom(rng, terms, rng.randint(0, 2))
             slots = {}
-            concept_fn = _exact(concept, slots)
-            role_fn = _exact(role, slots)
+            concept_fn = _exact(concept, slots, set())
+            role_fn = _exact(role, slots, set())
             holds_fn = _Constraint(axiom, True, slots).holds
             vals = encode(interp, slots)
             assert _decode_set(concept_fn(vals, dom)) == eval_concept(concept, interp)
@@ -256,7 +260,7 @@ class TestMaskRules:
                                        RoleAssert(RoleAtom(Term.nc("R")), Term.nc("a"), Term.nc("b"))])
     def test_evaluators_reject_non_expressions(self, value):
         with pytest.raises(TypeError):
-            _exact(value, {})
+            _exact(value, {}, set())
         with pytest.raises(TypeError):
             _interval(value, {})
 
@@ -359,7 +363,8 @@ class TestBracketReadings:
             full = random_interpretation(rng, terms + [target], size)
             axiom, positive, comp = producer_axiom(rng, terms, target)
             slots = {}
-            prod = _producer(_Constraint(axiom, positive, slots), comp)
+            con = _Constraint(axiom, positive, slots)
+            prod = _producer(con, slots[comp])
             assert prod is not None, axiom
             # Individuals are assigned before any component that holds a bracket.
             exposed = {c for c in slots if c[0] == IND or c != comp and rng.random() < 0.5}
@@ -416,6 +421,58 @@ class TestDecide:
             _Constraint(value, True, {})
 
 
+def side_reads(side):
+    """The components one side of a constraint's inclusion reads; an
+    assertion's left side is the tuple of its individuals."""
+    return frozenset((IND, t) for t in side) if isinstance(side, tuple) else components(side)
+
+
+def expected_bound_kind(con, comp):
+    """The kind of bound `con` puts on `comp`, read from the components of
+    its two sides: an atom that the other side does not read is bounded
+    above ("U", on the left) or below ("L", on the right) by that side, and
+    an assertion required to fail excludes its point ("X")."""
+    left, right = con.left, con.right
+    atoms = (ConceptAtom, RoleAtom, TopCtx)
+    if not con.positive:
+        return "X" if isinstance(left, tuple) and isinstance(right, atoms) and side_reads(right) == {comp} else None
+    if isinstance(left, atoms) and side_reads(left) == {comp} and comp not in side_reads(right):
+        return "U"
+    if isinstance(right, atoms) and side_reads(right) == {comp} and comp not in side_reads(left):
+        return "L"
+    return None
+
+
+class TestConstraintSlots:
+    """A constraint compiles each side in one walk, which also collects the
+    slots the side reads. Those slots must be exactly the components the
+    axiom reads, and the bounds `_producer` reads off them must be the ones
+    the components of each side give."""
+
+    def test_slots_map_back_to_the_components_read(self):
+        rng = random.Random(47)
+        terms = term_pool(3)
+        forms, kinds = set(), set()
+        for _ in range(400):
+            if rng.random() < 0.5:
+                axiom, positive = random_axiom(rng, terms, rng.randint(0, 3)), rng.random() < 0.5
+            else:  # the atom-sided shapes, which give bounds
+                axiom, positive, _ = producer_axiom(rng, terms, rng.choice(terms))
+            slots = {}
+            con = _Constraint(axiom, positive, slots)
+            keys = list(slots)
+            assert {keys[s] for s in con.comps} == components(axiom), axiom
+            assert len(keys) == len(con.comps), axiom
+            for comp, slot in slots.items():
+                prod = _producer(con, slot)
+                kind = expected_bound_kind(con, comp)
+                assert (prod and prod.kind) == kind, (axiom, positive, comp)
+                kinds.add(kind)
+            forms.add(type(axiom))
+        assert forms == {ConceptSub, RoleSub, ConceptAssert, RoleAssert}
+        assert kinds == {"L", "U", "X", None}
+
+
 def backtracking_has_model(constraints, terms, max_size):
     """Whether some interpretation with at most `max_size` elements satisfies
     every axiom of `constraints` marked True and none marked False.
@@ -423,8 +480,8 @@ def backtracking_has_model(constraints, terms, max_size):
     A plain chronological backtracking over the components the axioms read,
     each axiom checked with `satisfies` once its components are assigned:
     no bounds, no intervals, no backjumping."""
-    reads = [(_comps(ax), ax, positive) for ax, positive in constraints]
-    order = sorted(set().union(*(comps for comps, _, _ in reads)), key=_comp_sort_key)
+    reads = [(components(ax), ax, positive) for ax, positive in constraints]
+    order = sorted(set().union(*(comps for comps, _, _ in reads)), key=component_sort_key)
     position = {comp: i for i, comp in enumerate(order)}
     due = [[] for _ in range(len(order) + 1)]  # due[-1]: axioms that read no component
     for comps, ax, positive in reads:
@@ -552,6 +609,58 @@ class TestSubmasks:
             assert got == list(subsets_between(lower, free))
 
 
+class TestWitnessDecoding:
+    """A witness is decoded from the slots: every term of the signature gets
+    a denotation, 0 / ∅ / ∅ where no slot reads it, and every context top
+    the constraints read gets a subset."""
+
+    def test_term_only_declared_denotes_nothing(self):
+        a, b, extra = Term.nc("A"), Term.nc("b"), Term.nc("extra")
+        onto = Ontology([ConceptAssert(ConceptAtom(a), b)], signature=[extra])
+        model = find_model(onto, 2).model
+        assert set(model.indiv) == set(model.conc) == set(model.role) == {a, b, extra}
+        assert (model.indiv[extra], model.conc[extra], model.role[extra]) == (0, frozenset(), frozenset())
+        assert is_model(model, onto)
+
+    def test_countermodel_covers_conclusion_only_terms(self):
+        a, b, c, d, x = (Term.nc(name) for name in ("A", "B", "C", "D", "x"))
+        premise = Ontology([ConceptSub(ConceptAtom(a), ConceptAtom(b))])
+        # The first target is violated at size 1; the second one's terms
+        # are read by no constraint of that search.
+        conclusion = Ontology([ConceptSub(ConceptAtom(a), ConceptAtom(c)),
+                               RoleAssert(RoleAtom(d), x, x), ConceptAssert(TopCtx("K"), x)])
+        verdict = check_entailment(premise, conclusion, 2)
+        assert isinstance(verdict, NotEntailed)
+        model = verdict.countermodel
+        everything = premise.signature | conclusion.signature
+        assert set(model.indiv) == set(model.conc) == set(model.role) == everything
+        assert (model.indiv[x], model.role[d], model.top_ctx["K"]) == (0, frozenset(), frozenset())
+        assert is_model(model, premise) and not is_model(model, conclusion)
+
+    def test_every_context_top_read_is_decoded(self):
+        rng = random.Random(53)
+        terms = term_pool(3)
+        ctx_ids, read = ("CX", "CY"), 0
+        for _ in range(200):
+            premise = Ontology([random_axiom(rng, terms, rng.randint(0, 2)) for _ in range(rng.randint(1, 3))]
+                               + [ConceptSub(TopCtx(rng.choice(ctx_ids)), random_concept(rng, terms, 1))])
+            target = ConceptSub(random_concept(rng, terms, 1, ctx_ids), random_concept(rng, terms, 1, ctx_ids))
+            conclusion = Ontology([target])
+            for verdict, ids, signature in (
+                (find_model(premise, 2), collect_ctx_ids(premise), premise.signature),
+                (check_entailment(premise, conclusion, 2), collect_ctx_ids(premise) | collect_ctx_ids(conclusion),
+                 premise.signature | conclusion.signature),
+            ):
+                model = getattr(verdict, "model", None) or getattr(verdict, "countermodel", None)
+                if model is None:
+                    continue
+                assert set(model.top_ctx) == ids
+                assert set(model.indiv) == set(model.conc) == set(model.role) == signature
+                assert is_model(model, premise)
+                read += 1
+        assert read > 100
+
+
 def running_example_annotation(suffix="", ctx_id="CA"):
     def nc(name):
         return Term.nc(f"{name}{suffix}")
@@ -662,33 +771,59 @@ def test_negative_budget_is_refused(search):
     assert search(0) is not None
 
 
-WITNESS_OF_SAME_NAME_TERMS = """
-from ctxdl.core import ConceptAssert, ConceptAtom, ConceptNeg, ConceptSub, ConceptUnion, Ontology, Term
-from ctxdl.search import find_model
+WITNESSES_UNDER_A_HASH_SEED = """
+from ctxdl.core import (ConceptAssert, ConceptAtom, ConceptNeg, ConceptSub, ConceptUnion, Ontology, RoleAssert,
+                        RoleAtom, RoleSub, Term, TopCtx)
+from ctxdl.search import check_entailment, find_model
 
-plain, contextual = ConceptAtom(Term.nc("A")), ConceptAtom(Term.ctx("A"))
+def show(title, model):
+    print(title, "domain", model.size)
+    for aspect, table in (("indiv", model.indiv), ("conc", model.conc), ("role", model.role)):
+        for t in sorted(table, key=Term.sort_key):
+            value = table[t] if aspect == "indiv" else sorted(table[t])
+            print(aspect, t.name, t.kind.value, value)
+    for cid in sorted(model.top_ctx):
+        print("top", cid, sorted(model.top_ctx[cid]))
+
+nc = Term.nc
+plain, contextual = ConceptAtom(nc("A")), ConceptAtom(Term.ctx("A"))
 onto = Ontology([
+    # Two terms that differ only in kind.
     ConceptSub(plain, ConceptNeg(contextual)),
-    ConceptAssert(ConceptUnion(plain, contextual), Term.nc("x")),
+    ConceptAssert(ConceptUnion(plain, contextual), nc("x")),
 ])
-model = find_model(onto, 2).model
-print("domain", model.size)
-for aspect, table in (("indiv", model.indiv), ("conc", model.conc), ("role", model.role)):
-    for t in sorted(table, key=Term.sort_key):
-        value = table[t] if aspect == "indiv" else sorted(table[t])
-        print(aspect, t.name, t.kind.value, value)
+show("same-name", find_model(onto, 2).model)
+# Four independent groups; the second is satisfiable only at size 2.
+groups = Ontology([
+    *onto.axioms,
+    ConceptAssert(ConceptAtom(nc("B")), nc("y")),
+    ConceptAssert(ConceptNeg(ConceptAtom(nc("B"))), nc("z")),
+    RoleAssert(RoleAtom(nc("r")), nc("u"), nc("v")),
+    RoleSub(RoleAtom(nc("r")), RoleAtom(nc("s"))),
+    ConceptSub(TopCtx("K"), ConceptAtom(nc("C"))),
+    ConceptAssert(TopCtx("K"), nc("w")),
+])
+show("groups", find_model(groups, 3).model)
+conclusion = Ontology([ConceptSub(ConceptAtom(nc("B")), ConceptAtom(nc("E"))),
+                       ConceptAssert(TopCtx("L"), nc("fresh"))])
+show("countermodel", check_entailment(groups, conclusion, 3).countermodel)
 """
 
 
 def test_witness_does_not_depend_on_the_hash_seed():
     # Two terms that differ only in kind tie on their names; the search order
-    # must break the tie by kind, not by set iteration order.
+    # must break the tie by kind, not by set iteration order. Groups are
+    # formed and ordered over slot sets, and the witness is decoded from the
+    # slots, neither of which may follow the hash seed either.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     witnesses = set()
     for seed in range(1, 7):
         env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)}
-        done = subprocess.run([sys.executable, "-c", WITNESS_OF_SAME_NAME_TERMS],
+        done = subprocess.run([sys.executable, "-c", WITNESSES_UNDER_A_HASH_SEED],
                               capture_output=True, text=True, env=env, timeout=120, check=True)
         witnesses.add(done.stdout)
     assert len(witnesses) == 1
+    (witness,) = witnesses
+    assert "groups domain 2" in witness and "countermodel domain 2" in witness
+    assert "top K [0]" in witness and "top L []" in witness
