@@ -12,8 +12,10 @@ fails (exit 1) when
   count of any one search call.
 
 A call that only the new side decides, or whose count falls, is allowed and
-counted in the summary, which also lists the first calls whose count fell,
-with their old and new totals. Exit 0 when nothing fails.
+counted in the summary, which also lists the first calls that only the new
+side decides, with the budget the old side ran out of and the new verdict or
+outcome, and the first calls whose count fell, with their old and new
+totals. Exit 0 when nothing fails.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 from pathlib import Path
 
 
-LISTED = 20  # calls whose count fell, listed in the summary
+LISTED = 20  # calls newly decided, and calls whose count fell, listed in the summary
 
 
 def load(path: Path) -> dict[str, dict]:
@@ -52,6 +54,7 @@ def compare(old_dir: Path, new_dir: Path) -> list[str]:
         return failures
 
     decided = {"both": 0, "new only": 0, "old only": 0, "neither": 0}
+    newly: list[str] = []
     for call_id, old in old_verdicts.items():
         new = new_verdicts[call_id]
         undecided = ("budget_out" in old, "budget_out" in new)
@@ -59,6 +62,9 @@ def compare(old_dir: Path, new_dir: Path) -> list[str]:
                  (False, True): "old only", (True, True): "neither"}[undecided]] += 1
         if undecided == (False, False) and old != new:
             failures.append(f"{call_id}: verdict differs")
+        elif undecided == (True, False):
+            verdict = new["verdict"][0] if "verdict" in new else new.get("outcome")
+            newly.append(f"{call_id}: budget {old['budget_out']} -> {verdict}")
 
     fell: list[str] = []
     same = 0
@@ -73,12 +79,18 @@ def compare(old_dir: Path, new_dir: Path) -> list[str]:
 
     print(f"{len(old_verdicts)} lines, {len(old_counts)} counted calls")
     print("decided by " + ", ".join(f"{who}: {n}" for who, n in decided.items()))
+    listed(newly, "new only")
     print(f"counts: {len(fell)} fell, {same} unchanged, {len(old_counts) - len(fell) - same} rose")
-    for line in fell[:LISTED]:
-        print(f"  fell {line}")
-    if len(fell) > LISTED:
-        print(f"  ... and {len(fell) - LISTED} more")
+    listed(fell, "fell")
     return failures
+
+
+def listed(lines: list[str], label: str) -> None:
+    """Print the first `LISTED` lines under `label`, and how many more there are."""
+    for line in lines[:LISTED]:
+        print(f"  {label} {line}")
+    if len(lines) > LISTED:
+        print(f"  ... and {len(lines) - LISTED} more")
 
 
 def main(argv: list[str]) -> int:

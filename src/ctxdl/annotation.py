@@ -8,6 +8,7 @@ the annotation "about" the anchor rather than a loose bag of facts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .core import (
@@ -61,6 +62,14 @@ class ContextualAnnotation:
         return self.sigma | {self.anchor}
 
     def as_ontology(self) -> Ontology:
+        """The ABox as an ontology over the annotation's signature, built
+        once per instance."""
+        return self._ontology
+
+    @cached_property
+    def _ontology(self) -> Ontology:
+        # Kept in the instance's `__dict__`, outside the fields, so equality,
+        # hashing and `repr` do not see it.
         return Ontology(self.abox, self.signature())
 
 

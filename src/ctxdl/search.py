@@ -20,10 +20,11 @@ end of `left` leaves the high end of `right` (it fails). Planning is one
 compile walk per side: it builds the side's exact closure over slots and
 collects the slots the side reads, which give the constraint's components
 and the atoms it can bound; a bound reuses that closure. Interval closures
-are compiled on first use, for checked axioms and lifted bounds. Both
-follow one table of mask rules, one per compound constructor, and take the
-domain size at run time, so one plan serves every size. A witness is
-decoded from the slots in one pass.
+are compiled on first use, for checked axioms and lifted bounds, and a
+projector per axiom and atom on its first projection. All follow one table
+of mask rules, one per compound constructor, and take the domain size at
+run time, so one plan serves every size. A witness is decoded from the
+slots in one pass.
 
 Pruning machinery, in order of impact:
 
@@ -43,11 +44,23 @@ Pruning machinery, in order of impact:
   `(lower, upper)`; an axiom settled against there fails every candidate,
   so the frame fails without trying one, and an axiom settled in favour
   is not checked per candidate;
+* backward projection (HC4-revise, Benhamou et al. 1999): each mask rule
+  also has a backward rule, which turns the bounds required of a node and
+  the intervals of its other children into bounds on each child. At a
+  position where a frame has already failed in the group's search, each
+  positive axiom that check first leaves open pushes its required bounds
+  (the left side inside the high end of the right side, the right side
+  around the low end of the left side) down to the position's own atom and
+  narrows the bracket; an empty bracket fails the frame, and the open
+  axioms are decided again on the narrowed one. The constraints that
+  narrowed it start the frame's conflict set. Surviving candidates keep
+  their order, so the first witness does not move;
 * a clash between the bounds (a forced member that is not allowed) is
   lifted: the bounds are recomputed under interval semantics with the
   deepest component they read reading its own bracket, and if the clash
   survives, that component's frame fails whole instead of trying its
-  remaining candidates;
+  remaining candidates. A check-first failure that narrowing took part in
+  is lifted the same way, by one retry of the position's check first;
 * axioms are re-checked as soon as their last component is assigned, and
   interval-checked at each earlier one;
 * independent subproblems (connected components of the axiom/term graph) are
@@ -171,6 +184,8 @@ def _at_most(rel: int, c: int, k: int, d: _Domain) -> int:
     """Elements with at most k rel-successors in c."""
     m = rel & c * d.rep
     n, full = d.n, d.full
+    if not m or k >= n:
+        return full if k >= 0 else 0
     out = 0
     for x in range(n):
         if (m >> x * n & full).bit_count() <= k:
@@ -190,17 +205,12 @@ def _inverse(rel: int, d: _Domain) -> int:
 
 
 def _compose(left: int, right: int, d: _Domain) -> int:
-    n, full = d.n, d.full
-    rows = [right >> y * n & full for y in range(n)]
+    n, full, rep = d.n, d.full, d.rep
     out = 0
-    for x in range(n):
-        row, acc, y = left >> x * n & full, 0, 0
-        while row:
-            if row & 1:
-                acc |= rows[y]
-            row >>= 1
-            y += 1
-        out |= acc << x * n
+    for y in range(n):
+        # The pairs (x, y) of left, as bits x*n, times row y of right: that
+        # row in every row x.
+        out |= (left >> y & rep) * (right >> y * n & full)
     return out
 
 
@@ -228,6 +238,116 @@ def _product(left: int, right: int, d: _Domain) -> int:
         left >>= 1
         x += 1
     return out
+
+
+# Backward rules (HC4-revise, Benhamou et al. 1999). A rule takes the bounds
+# `(lo, hi)` required of a node's value and the interval of each child, and
+# returns per child the bounds that the child's value obeys whenever the
+# node's value lies between `lo` and `hi`. A low end that leaves its high
+# end is a clash: no value fits. The caller intersects each child's bounds
+# with the child's interval, so a rule's high end may run past the domain.
+
+
+def _back_union(lo, hi, a, b, d):
+    # A member of lo that the other child cannot hold is in this one.
+    return (lo & ~b[1], hi), (lo & ~a[1], hi)
+
+
+def _back_intersection(lo, hi, a, b, d):
+    # A sure member of the other child is in this one only where hi allows.
+    return (lo, hi | ~b[0]), (lo, hi | ~a[0])
+
+
+def _back_exists(lo, hi, r, c, d):
+    """∃r.c: an element outside hi has no successor in c, and an element of
+    lo with one possible successor in c forces that pair and that member."""
+    n, full = d.n, d.full
+    (rlo, rhi), (clo, chi) = r, c
+    out = full ^ hi
+    r_hi = d.pairs ^ _product(out, clo, d)
+    # The elements that a sure pair from outside hi points to.
+    c_hi = full ^ _exists(_inverse(rlo & _product(out, full, d), d), full, d)
+    r_lo = c_lo = 0
+    x = 0
+    while lo:
+        if lo & 1:
+            support = rhi >> x * n & chi
+            if not support:
+                return (d.pairs, 0), (full, 0)
+            if not support & (support - 1):
+                r_lo |= support << x * n
+                c_lo |= support
+        lo >>= 1
+        x += 1
+    return (r_lo, r_hi), (c_lo, c_hi)
+
+
+def _back_forall(lo, hi, r, c, d):
+    # ∀r.c is ¬∃r.¬c.
+    full = d.full
+    rb, (nlo, nhi) = _back_exists(full ^ hi, full ^ lo, r, (full ^ c[1], full ^ c[0]), d)
+    return rb, (full ^ nhi, full ^ nlo)
+
+
+def _back_at_most_0(lo, hi, r, c, d):
+    # ≤0 r.c is ¬∃r.c.
+    return _back_exists(d.full ^ hi, d.full ^ lo, r, c, d)
+
+
+def _back_compose(lo, hi, r, s, d):
+    """r∘s: a pair (x, y) of r is allowed only if every sure successor of y
+    in s stays inside row x of hi, and a pair (y, z) of s only if z is in
+    row x of hi for every sure pair (x, y) of r; a pair (x, z) of lo with one
+    possible middle y forces (x, y) into r and (y, z) into s."""
+    n, full = d.n, d.full
+    (rlo, rhi), (slo, shi) = r, s
+    rows_hi = [hi >> x * n & full for x in range(n)]
+    s_lo_rows = [slo >> y * n & full for y in range(n)]
+    r_hi = 0
+    s_rows = [full] * n
+    for x in range(n):
+        row_x, allowed = rows_hi[x], 0
+        for y in range(n):
+            if not s_lo_rows[y] & ~row_x:
+                allowed |= 1 << y
+            if rlo >> x * n + y & 1:
+                s_rows[y] &= row_x
+        r_hi |= allowed << x * n
+    s_hi = sum(row << y * n for y, row in enumerate(s_rows))
+    r_lo = s_lo = 0
+    s_inverse = _inverse(shi, d) if lo else 0  # row z: the possible middles y of (y, z)
+    while lo:
+        low = lo & -lo
+        x, z = divmod(low.bit_length() - 1, n)
+        support = rhi >> x * n & s_inverse >> z * n & full
+        if not support:
+            return (d.pairs, 0), (d.pairs, 0)
+        if not support & (support - 1):
+            y = support.bit_length() - 1
+            r_lo |= 1 << x * n + y
+            s_lo |= 1 << y * n + z
+        lo ^= low
+    return (r_lo, r_hi), (s_lo, s_hi)
+
+
+def _back_product(lo, hi, a, b, d):
+    """a×b: x is in a only if the sure members of b lie in row x of hi, b
+    lies in row x of hi for each sure member x of a, and each pair of lo
+    puts its ends into a and b."""
+    n, full = d.n, d.full
+    (alo, _), (blo, _) = a, b
+    a_lo = b_lo = a_hi = 0
+    b_hi = full
+    for x in range(n):
+        row_hi, row_lo = hi >> x * n & full, lo >> x * n & full
+        if not blo & ~row_hi:
+            a_hi |= 1 << x
+        if alo >> x & 1:
+            b_hi &= row_hi
+        if row_lo:
+            a_lo |= 1 << x
+            b_lo |= row_lo
+    return (a_lo, a_hi), (b_lo, b_hi)
 
 
 def _submasks(lower: int, free: int) -> Iterator[int]:
@@ -277,33 +397,44 @@ def _fixed(op: Callable) -> Callable:
 
 
 # Per compound constructor: the maker of its mask operation, which takes the
-# node and returns `op(*child values, domain)`, and
-# per child, in `children` order, whether `op` is monotone (True) or
-# antitone (False) in it.
-_MASK_RULES: dict[type, tuple[Callable, tuple[bool, ...]]] = {
-    ConceptUnion: (_fixed(lambda a, b, d: a | b), (True, True)),
-    ConceptIntersection: (_fixed(lambda a, b, d: a & b), (True, True)),
-    ConceptNeg: (_fixed(lambda a, d: d.full ^ a), (False,)),
-    Exists: (_fixed(_exists), (True, True)),
-    Forall: (_fixed(_forall), (False, True)),
-    AtMost: (lambda e: lambda r, c, d: _at_most(r, c, e.bound, d), (False, False)),
-    AtLeast: (lambda e: lambda r, c, d: d.full ^ _at_most(r, c, e.bound - 1, d), (True, True)),
-    RoleUnion: (_fixed(lambda a, b, d: a | b), (True, True)),
-    RoleIntersection: (_fixed(lambda a, b, d: a & b), (True, True)),
-    RoleNeg: (_fixed(lambda a, d: d.pairs ^ a), (False,)),
-    Inverse: (_fixed(_inverse), (True,)),
-    Compose: (_fixed(_compose), (True, True)),
-    Closure: (_fixed(_closure), (True,)),
-    Product: (_fixed(_product), (True, True)),
+# node and returns `op(*child values, domain)`; per child, in `children`
+# order, whether `op` is monotone (True) or antitone (False) in it; and the
+# maker of its backward rule, or None where the row has no useful one.
+_MASK_RULES: dict[type, tuple[Callable, tuple[bool, ...], Optional[Callable]]] = {
+    ConceptUnion: (_fixed(lambda a, b, d: a | b), (True, True), _fixed(_back_union)),
+    ConceptIntersection: (_fixed(lambda a, b, d: a & b), (True, True), _fixed(_back_intersection)),
+    ConceptNeg: (_fixed(lambda a, d: d.full ^ a), (False,),
+                 _fixed(lambda lo, hi, a, d: ((d.full ^ hi, d.full ^ lo),))),
+    Exists: (_fixed(_exists), (True, True), _fixed(_back_exists)),
+    Forall: (_fixed(_forall), (False, True), _fixed(_back_forall)),
+    AtMost: (lambda e: lambda r, c, d: _at_most(r, c, e.bound, d), (False, False),
+             lambda e: _back_at_most_0 if e.bound == 0 else None),
+    AtLeast: (lambda e: lambda r, c, d: d.full ^ _at_most(r, c, e.bound - 1, d), (True, True),
+              lambda e: _back_exists if e.bound == 1 else None),
+    RoleUnion: (_fixed(lambda a, b, d: a | b), (True, True), _fixed(_back_union)),
+    RoleIntersection: (_fixed(lambda a, b, d: a & b), (True, True), _fixed(_back_intersection)),
+    RoleNeg: (_fixed(lambda a, d: d.pairs ^ a), (False,),
+              _fixed(lambda lo, hi, a, d: ((d.pairs ^ hi, d.pairs ^ lo),))),
+    Inverse: (_fixed(_inverse), (True,), _fixed(lambda lo, hi, r, d: ((_inverse(lo, d), _inverse(hi, d)),))),
+    Compose: (_fixed(_compose), (True, True), _fixed(_back_compose)),
+    Closure: (_fixed(_closure), (True,), _fixed(None)),
+    Product: (_fixed(_product), (True, True), _fixed(_back_product)),
 }
 
 
 def _mask_rule(e) -> tuple[Callable, tuple[bool, ...]]:
     try:
-        make, monotone = _MASK_RULES[type(e)]
+        make, monotone, _ = _MASK_RULES[type(e)]
     except KeyError:
         raise TypeError(f"not an expression: {e!r}") from None
     return make(e), monotone
+
+
+def _back_rule(e) -> Optional[Callable]:
+    """The backward rule of a compound node; None for a leaf and for a row
+    without one."""
+    row = _MASK_RULES.get(e.__class__)
+    return None if row is None else row[2](e)
 
 
 def _exact(e, slots: Slots, reads: set[int]) -> Exact:
@@ -401,24 +532,86 @@ def _interval(e, slots: Slots) -> Interval:
         return pair
     # The operation on the bounds: a child's lower bound gives the lower
     # result where the operation is monotone in it, its upper bound where
-    # antitone.
+    # antitone. Where every child is exact, so is the result, and the
+    # operation runs once.
     op, monotone = _mask_rule(e)
     fs = [_interval(c, slots) for c in children(e)]
     if len(fs) == 1:
         (f,) = fs
         i = 0 if monotone[0] else 1
+        k = 1 - i
 
         def unary(v, d):
             x = f(v, d)
-            return op(x[i], d), op(x[1 - i], d)
+            lo = op(x[i], d)
+            return (lo, lo) if x[0] == x[1] else (lo, op(x[k], d))
 
         return unary
     f, g = fs
     i, j = (0 if m else 1 for m in monotone)
+    k, m = 1 - i, 1 - j
 
     def binary(v, d):
         x, y = f(v, d), g(v, d)
-        return op(x[i], y[j], d), op(x[1 - i], y[1 - j], d)
+        lo = op(x[i], y[j], d)
+        if x[0] == x[1] and y[0] == y[1]:
+            return lo, lo
+        return lo, op(x[k], y[m], d)
+
+    return binary
+
+
+# A projector `p(vals, dom, lo, hi) -> (lo, hi)` takes the bounds required of
+# an expression's value and returns bounds on one atom under it, its target:
+# every value of the target that lets the expression's value lie between
+# `lo` and `hi`, with the other components as in `vals`, lies between the
+# returned two. The bounds go down the paths from the expression to each
+# occurrence of the target through the backward rules, each child's bounds
+# intersected with its interval; the occurrences' results are intersected.
+
+Projector = Callable[[Vals, _Domain, int, int], tuple[int, int]]
+
+
+def _projector(e, slots: Slots, target: int) -> Optional[Projector]:
+    """The projector of `e` onto the slot `target`, or None when no path of
+    rows with a backward rule reaches an occurrence of it."""
+    read = _ATOMS.get(e.__class__)
+    if read is not None:
+        return (lambda v, d, lo, hi: (lo, hi)) if slots.get(read(e)) == target else None
+    back = _back_rule(e)
+    if back is None:
+        return None
+    kids = children(e)
+    ps = [_projector(c, slots, target) for c in kids]
+    if not any(ps):
+        return None
+    fs = [_interval(c, slots) for c in kids]
+    if len(fs) == 1:
+        (f,), (p,) = fs, ps
+
+        def unary(v, d, lo, hi):
+            if lo & ~hi:  # a clash goes down as it is
+                return lo, hi
+            x = f(v, d)
+            ((clo, chi),) = back(lo, hi, x, d)
+            return p(v, d, clo | x[0], chi & x[1])
+
+        return unary
+    f, g = fs
+    p, q = ps
+
+    def binary(v, d, lo, hi):
+        if lo & ~hi:
+            return lo, hi
+        x, y = f(v, d), g(v, d)
+        (alo, ahi), (blo, bhi) = back(lo, hi, x, y, d)
+        if q is None:
+            return p(v, d, alo | x[0], ahi & x[1])
+        if p is None:
+            return q(v, d, blo | y[0], bhi & y[1])
+        plo, phi = p(v, d, alo | x[0], ahi & x[1])
+        qlo, qhi = q(v, d, blo | y[0], bhi & y[1])
+        return plo | qlo, phi & qhi
 
     return binary
 
@@ -493,10 +686,15 @@ class _Constraint:
         return lambda v, d: not f(v, d) & ~g(v, d)
 
     @cached_property
+    def intervals(self) -> tuple[Interval, Interval]:
+        """The interval closures of the left and right sides."""
+        return _interval(self.left, self.slots), _interval(self.right, self.slots)
+
+    @cached_property
     def decide(self) -> Callable[[Vals, _Domain], Optional[bool]]:
         """True / False when the axiom is settled under every completion of
         the partial assignment; None when still open."""
-        f, g = _interval(self.left, self.slots), _interval(self.right, self.slots)
+        f, g = self.intervals
 
         def decide(v, d):
             (llo, lhi), (rlo, rhi) = f(v, d), g(v, d)
@@ -507,6 +705,36 @@ class _Constraint:
             return None
 
         return decide
+
+    _projectors: Optional[dict] = None  # target slot -> projector, filled on use
+
+    def projector(self, target: int) -> Optional[Callable[[Vals, _Domain], tuple[int, int]]]:
+        """`project(vals, dom) -> (lo, hi)`: bounds on the atom at slot
+        `target` that every value of it satisfying the inclusion obeys. The
+        left side must lie inside the high end of the right side, and the
+        right side must contain the low end of the left side; each side's
+        bounds go down its projector. None when neither side has a path to
+        the atom. Compiled on first use for each target."""
+        if self._projectors is None:
+            self._projectors = {}
+        elif target in self._projectors:
+            return self._projectors[target]
+        pl = _projector(self.left, self.slots, target)
+        pr = _projector(self.right, self.slots, target)
+        project = None
+        if pl is not None or pr is not None:
+            f, g = self.intervals
+
+            def project(v, d):
+                (llo, lhi), (rlo, rhi) = f(v, d), g(v, d)
+                lo, hi = pl(v, d, llo, lhi & rhi) if pl is not None else (0, -1)
+                if pr is not None:
+                    blo, bhi = pr(v, d, rlo | llo, rhi)
+                    lo, hi = lo | blo, hi & bhi
+                return lo, hi
+
+        self._projectors[target] = project
+        return project
 
 
 Bound = Callable[[Vals, _Domain], int]
@@ -573,13 +801,16 @@ class _Plan:
 
     slots: list[int]
     aspects: list[str]
+    # Per position, a list of entries, or one shared empty tuple for none:
+    # a position's first entry gives it a list.
     # The producers consumed at each position, and the positions they read.
-    producers_at: list[list[_Producer]]
+    producers_at: list[Sequence[_Producer]]
     producer_reads: list[int]
-    # (holds, decide, positive, positions of the constraint's other components)
-    checks_at: list[list[tuple[Callable, Callable, bool, int]]]
+    # (holds, decide, positive, positions of the constraint's other
+    # components, the maker of its projector onto a slot)
+    checks_at: list[Sequence[tuple[Callable, Callable, bool, int, Callable]]]
     # (decide, not positive, positions of the constraint's earlier components)
-    watch_at: list[list[tuple[Callable, bool, int]]]
+    watch_at: list[Sequence[tuple[Callable, bool, int]]]
 
 
 _PHASE = {IND: 0, TOPCTX: 1, CONC: 1, ROLE: 2}
@@ -594,10 +825,10 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
     order = sorted(comps, key=lambda c: (_PHASE[keys[c][0]], -degree[c], keys[c]))
     position = {c: idx for idx, c in enumerate(order)}
 
-    producers_at: list[list] = [[] for _ in order]
+    producers_at: list = [()] * len(order)
     producer_reads = [0] * len(order)
-    checks_at: list[list] = [[] for _ in order]
-    watch_at: list[list] = [[] for _ in order]
+    checks_at: list = [()] * len(order)
+    watch_at: list = [()] * len(order)
     for con in constraints:
         positions = 0
         for c in con.comps:
@@ -607,10 +838,14 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
         others = positions & ~(1 << i)
         prod = _producer(con, last)
         if prod is not None:
-            producers_at[i].append(prod)
+            if not (entries := producers_at[i]):
+                entries = producers_at[i] = []
+            entries.append(prod)
             producer_reads[i] |= others
         else:
-            checks_at[i].append((con.holds, con.decide, con.positive, others))
+            if not (entries := checks_at[i]):
+                entries = checks_at[i] = []
+            entries.append((con.holds, con.decide, con.positive, others, con.projector))
             # Interval-check the axiom at every earlier component; many
             # axioms are settled well before their last component. Settled
             # negatively by assigned components alone, so only those can be
@@ -618,7 +853,9 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
             for comp in con.comps:
                 if comp != last:
                     j = position[comp]
-                    watch_at[j].append((con.decide, not con.positive, positions & ((1 << j) - 1)))
+                    if not (entries := watch_at[j]):
+                        entries = watch_at[j] = []
+                    entries.append((con.decide, not con.positive, positions & ((1 << j) - 1)))
 
     aspects = [keys[c][0] for c in order]
     return _Plan(order, aspects, producers_at, producer_reads, checks_at, watch_at)
@@ -662,6 +899,20 @@ def _clash_conflict(plan: _Plan, frames: list[list], j: int, vals: Vals, d: _Dom
     return blame
 
 
+def _lift_position(plan: _Plan, blame: int, reads: int) -> int:
+    """The deepest position in `blame` (not empty), to be read as its
+    frame's bracket in a retry; -1 where it cannot be: an individual holds
+    no bracket, and where the failed position's producers read it
+    (`reads`), their bounds would change with it. Only a failure that
+    narrowing took part in is retried: a clash has its own lifting, and
+    retrying every check-first failure cost `refute` 7% for no fewer
+    candidates there."""
+    k = blame.bit_length() - 1
+    if plan.aspects[k] == IND or reads >> k & 1:
+        return -1
+    return k
+
+
 def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Optional[int]:
     """Fill `vals` with a satisfying assignment for this group, or return the
     conflict set (a mask of positions) of an exhausted search. None means
@@ -675,6 +926,10 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
     pslots, aspects = plan.slots, plan.aspects
     tick = budget.tick
     frames: list[list] = []
+    failed_at = 0  # positions where a frame has failed
+    # While a failure is retried with the deepest position k it blames
+    # reading its frame's bracket: (k, k's value, the failure's conflict set).
+    lifted: Optional[tuple[int, object, int]] = None
     while True:
         # Bound the component at the next position and push its frame.
         i = len(frames)
@@ -682,36 +937,89 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
             return None
         returned: Optional[int] = None
         reads = plan.producer_reads[i]
+        checks = open_checks = plan.checks_at[i]
+        blame = 0
         if aspects[i] == IND:
             candidates: Iterator = iter(range(d.n))
             lower = upper = None
-            open_checks = plan.checks_at[i]
         else:
             full = d.pairs if aspects[i] == ROLE else d.full
             lower, upper = _bracket(plan.producers_at[i], vals, d, full)
             if lower & ~upper:
                 returned = _clash_conflict(plan, frames, i, vals, d, full)
-            else:
+            elif checks:
                 # Check first, over the whole bracket: a constraint settled
                 # against fails every candidate, so none is tried; one
                 # settled in favour holds for every candidate, so it is not
-                # checked per candidate.
+                # checked per candidate. Then, at a position where a frame
+                # has failed before in this search, each positive
+                # constraint left open narrows the bracket to the values its
+                # projector allows, and a second round decides the open
+                # constraints again on the narrowed bracket. `blame`
+                # gathers the positions of the constraints that narrowed
+                # it: the frame's conflict set starts there.
                 slot = pslots[i]
-                vals[slot] = (lower, upper)
-                open_checks = []
-                for check in plan.checks_at[i]:
-                    _, decide, positive, others = check
-                    settled = decide(vals, d)
-                    if settled is None:
-                        open_checks.append(check)
-                    elif settled is not positive:
-                        returned = others | reads
+                project = failed_at >> i & 1
+                while True:
+                    vals[slot] = (lower, upper)
+                    open_checks, projectable = [], []
+                    for check in checks:
+                        _, decide, positive, others, _ = check
+                        settled = decide(vals, d)
+                        if settled is None:
+                            open_checks.append(check)
+                            if project and positive:
+                                projectable.append(check)
+                        elif settled is not positive:
+                            returned = others | blame | reads
+                            break
+                    if returned is not None or not projectable:
                         break
+                    for check in projectable:
+                        projector = check[4](slot)
+                        if projector is None:
+                            continue
+                        lo, hi = projector(vals, d)
+                        lo, hi = lo | lower, hi & upper
+                        if lo != lower or hi != upper:
+                            lower, upper = lo, hi
+                            blame |= check[3]
+                            if lower & ~upper:
+                                returned = blame | reads
+                                break
+                            vals[slot] = (lower, upper)
+                    if returned is not None or not blame:
+                        break
+                    checks, project = open_checks, 0
                 vals[slot] = None
-                if returned is None:
-                    candidates = _submasks(lower, upper ^ lower)
+            if returned is None:
+                candidates = _submasks(lower, upper ^ lower)
+        if lifted is not None:
+            # The retry of a failure with k reading its bracket. If it fails
+            # too, and blames no position between k and i, no value at k
+            # can help, and frame k fails whole: in the blame, k is replaced
+            # by k's accumulated conflict set and the positions k's
+            # producers read.
+            k, value, first = lifted
+            vals[pslots[k]] = value
+            lifted = None
+            if returned is None or returned >> k + 1:
+                returned = first
+            else:
+                returned = returned & ~(1 << k) | frames[k][1] | frames[k][2]
+        elif blame and returned is not None:
+            # A failure that narrowing took part in is retried once, as a
+            # clash is, with the deepest position k it blames reading its
+            # frame's own bracket.
+            k = _lift_position(plan, returned, reads)
+            if k >= 0:
+                lifted = k, vals[pslots[k]], returned
+                vals[pslots[k]] = frames[k][3], frames[k][4]
+                continue
         if returned is None:
-            frames.append([candidates, 0, reads, lower, upper, open_checks])
+            frames.append([candidates, blame, reads, lower, upper, open_checks])
+        else:
+            failed_at |= 1 << i
 
         # Try candidates at the top frame; pop the frames that are exhausted
         # or that a returned conflict set jumps over.
@@ -732,7 +1040,7 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
                 tick()
                 vals[slot] = value
                 failed = False
-                for holds, _, positive, others in checks:
+                for holds, _, positive, others, _ in checks:
                     if holds(vals, d) is not positive:
                         conflict |= others
                         failed = True
@@ -748,6 +1056,7 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
             else:
                 vals[slot] = None
                 frames.pop()
+                failed_at |= 1 << i
                 returned = conflict | frame[2]
                 continue
             frame[1] = conflict

@@ -14,6 +14,7 @@ transformation checkers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Union
 
 from .core import (
@@ -86,15 +87,29 @@ class Interpretation:
         for t, e in self.indiv.items():
             if e not in dom:
                 raise ValueError(f"individual {t.name} maps outside the domain: {e}")
+        # One subset test per distinct denotation object: terms with equal
+        # denotations often share one set. A role's pairs are inside when
+        # both ends of each are.
+        elements = frozenset(dom)
+        # The sets found inside, by id; holding them keeps their ids from
+        # passing to sets a mapping builds later.
+        inside: dict[int, object] = {}
         for t, s in self.conc.items():
-            if any(e not in dom for e in s):
-                raise ValueError(f"concept {t.name} maps outside the domain")
+            if id(s) not in inside:
+                if not elements.issuperset(s):
+                    raise ValueError(f"concept {t.name} maps outside the domain")
+                inside[id(s)] = s
+        related: dict[int, object] = {}
         for t, r in self.role.items():
-            if any(x not in dom or y not in dom for x, y in r):
-                raise ValueError(f"role {t.name} maps outside the domain")
+            if id(r) not in related:
+                if not elements.issuperset(chain.from_iterable(r)):
+                    raise ValueError(f"role {t.name} maps outside the domain")
+                related[id(r)] = r
         for cid, s in self.top_ctx.items():
-            if any(e not in dom for e in s):
-                raise ValueError(f"context top {cid} maps outside the domain")
+            if id(s) not in inside:
+                if not elements.issuperset(s):
+                    raise ValueError(f"context top {cid} maps outside the domain")
+                inside[id(s)] = s
 
     @property
     def domain(self) -> frozenset[int]:

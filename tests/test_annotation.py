@@ -16,6 +16,7 @@ from ctxdl.core import (
     ConceptAtom,
     ConceptNeg,
     ConceptSub,
+    Ontology,
     RoleAssert,
     RoleAtom,
     Top,
@@ -119,6 +120,17 @@ class TestValidateAnnotation:
         assert first.ctx_id == second.ctx_id
         other = validate_annotation(nc("a"), [cassert("D", "a")])
         assert other.ctx_id != first.ctx_id
+
+    def test_ontology_view_is_built_once_outside_the_value(self, babylon_annotation):
+        before = repr(babylon_annotation), hash(babylon_annotation)
+        view = babylon_annotation.as_ontology()
+        assert babylon_annotation.as_ontology() is view
+        assert view == Ontology(babylon_annotation.abox, babylon_annotation.signature())
+        assert (repr(babylon_annotation), hash(babylon_annotation)) == before
+        ca = babylon_annotation
+        twin = validate_annotation(ca.anchor, ca.abox, ctx_id=ca.ctx_id)
+        assert twin == babylon_annotation and hash(twin) == hash(babylon_annotation)
+        assert twin.as_ontology() == view
 
     def test_context_id_override(self):
         ca = validate_annotation(nc("a"), [cassert("C", "a")], ctx_id="mine")

@@ -63,6 +63,17 @@ def test_newly_decided_call_with_falling_count_passes(tmp_path, capsys):
     assert "1 fell" in out
 
 
+def test_calls_only_the_new_side_decides_are_listed_with_the_old_budget(tmp_path, capsys):
+    old = changed(2, {"id": "witness/1/c", "budget_out": 1000}, [4, 1001])
+    new = changed(1, {"id": "refute/1/b", "verdict": ["NoModelUpTo", None, 4, None]}, [800])
+    code = compare_fingerprints.main([str(write(tmp_path / "old", old)), str(write(tmp_path / "new", new))])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert ("decided by both: 2, new only: 2, old only: 0, neither: 0\n"
+            "  new only refute/1/b: budget 20000 -> NoModelUpTo\n"
+            "  new only witness/1/c: budget 1000 -> holds\n") in out
+
+
 def test_calls_whose_count_fell_are_listed_with_old_and_new_totals(tmp_path, capsys):
     code, out = run(tmp_path, changed(2, ticks=[4, 5]), capsys)
     assert code == 0

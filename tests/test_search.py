@@ -70,11 +70,14 @@ from ctxdl.semantics import (
     satisfies,
 )
 from ctxdl.strategies import Strategy, combine_contexts, contextualize
+from ctxdl.textio import parse
+from ctxdl import search as search_module
 from ctxdl.verify import (
     Outcome,
     check_entailment_preservation,
     curated_entailment_pairs,
     curated_inconsistent_ontologies,
+    generate_corpus,
 )
 
 from generators import random_axiom, random_concept, random_interpretation, random_role, term_pool
@@ -246,13 +249,43 @@ LEAVES = {Top, Bottom, TopCtx, ConceptAtom, RoleAtom, Nominals}
 COMPOUND = (set(typing.get_args(ConceptExpr)) | set(typing.get_args(RoleExpr))) - LEAVES
 
 
+# Rows without a useful backward rule, by the nodes they cover: projection
+# stops at them.
+NO_BACKWARD_RULE = {
+    Closure: lambda e: True,
+    AtMost: lambda e: e.bound > 0,
+    AtLeast: lambda e: e.bound != 1,
+}
+
+
+def random_node(rng, ctor, terms):
+    """A node of `ctor` over random children of depth 0 or 1, with the
+    bound that gives `AtMost` and `AtLeast` a backward rule."""
+    make = {int: lambda: 0 if ctor is AtMost else 1,
+            ConceptExpr: lambda: random_concept(rng, terms, rng.randint(0, 1)),
+            RoleExpr: lambda: random_role(rng, terms, rng.randint(0, 1))}
+    return ctor(*(make[hint]() for hint in typing.get_type_hints(ctor).values()))
+
+
+def random_inclusion(rng, node, terms):
+    """An axiom with `node` as one side: of a concept or role inclusion, or
+    as the concept or role of an assertion."""
+    a, b = rng.choice(terms), rng.choice(terms)
+    if isinstance(node, typing.get_args(RoleExpr)):
+        other = random_role(rng, terms, rng.randint(0, 1))
+        return rng.choice([RoleSub(node, other), RoleSub(other, node), RoleAssert(node, a, b)])
+    other = random_concept(rng, terms, rng.randint(0, 1))
+    return rng.choice([ConceptSub(node, other), ConceptSub(other, node), ConceptAssert(node, a)])
+
+
 class TestMaskRules:
-    """One mask rule per compound constructor drives both evaluators."""
+    """One mask rule per compound constructor drives both evaluators and
+    the projection."""
 
     def test_every_compound_constructor_has_a_rule_per_child(self):
         assert set(_MASK_RULES) == COMPOUND
         sample = {int: 1, ConceptExpr: ConceptAtom(Term.nc("C")), RoleExpr: RoleAtom(Term.nc("R"))}
-        for ctor, (_, monotone) in _MASK_RULES.items():
+        for ctor, (_, monotone, _) in _MASK_RULES.items():
             node = ctor(*(sample[hint] for hint in typing.get_type_hints(ctor).values()))
             assert len(monotone) == len(children(node)), ctor
 
@@ -263,6 +296,52 @@ class TestMaskRules:
             _exact(value, {}, set())
         with pytest.raises(TypeError):
             _interval(value, {})
+
+    def test_every_row_has_a_backward_rule_or_is_listed_without_one(self):
+        for ctor, (_, _, back) in _MASK_RULES.items():
+            for bound in (0, 1, 2):
+                sample = {int: bound, ConceptExpr: ConceptAtom(Term.nc("C")), RoleExpr: RoleAtom(Term.nc("R"))}
+                node = ctor(*(sample[hint] for hint in typing.get_type_hints(ctor).values()))
+                listed = ctor in NO_BACKWARD_RULE and NO_BACKWARD_RULE[ctor](node)
+                assert (back(node) is None) == listed, node
+
+    @pytest.mark.parametrize("ctor", sorted(COMPOUND - {Closure}, key=lambda c: c.__name__))
+    def test_projection_keeps_every_value_that_satisfies_the_constraint(self, ctor):
+        # A node of `ctor` over random children, one side of a random
+        # inclusion or assertion; the target is an atom the node reads,
+        # read as a random bracket, the other components as in a random
+        # interpretation. A wrong rule drops a satisfying value for some
+        # draw, or forces a member that one lacks.
+        rng = random.Random(ctor.__name__)
+        terms = term_pool(2)
+        narrowed = 0
+        for _ in range(400):
+            size = rng.randint(1, 2)
+            node = random_node(rng, ctor, terms)
+            slots = {}
+            con = _Constraint(random_inclusion(rng, node, terms), True, slots)
+            read = {}
+            _interval(node, read)
+            atoms = [comp for comp in read if comp[0] != IND]
+            if not atoms:
+                continue
+            comp = rng.choice(atoms)
+            slot, dom = slots[comp], _Domain(size)
+            project = con.projector(slot)
+            if project is None:  # the atom lies under a row without a rule only
+                continue
+            vals = encode(random_interpretation(rng, terms, size), slots)
+            width = dom.pairs if comp[0] == ROLE else dom.full
+            hi = (rng.getrandbits(size * size) | rng.getrandbits(size * size)) & width
+            lo = hi & rng.getrandbits(size * size) & rng.getrandbits(size * size)
+            vals[slot] = (lo, hi)
+            plo, phi = project(vals, dom)
+            narrowed += plo | lo != lo or phi & hi != hi
+            for value in _submasks(lo, hi ^ lo):
+                vals[slot] = value
+                if con.holds(vals, dom):
+                    assert not plo & ~value and not value & ~phi, (con.left, con.right, comp, lo, hi, value)
+        assert narrowed > 40
 
     def test_interval_brackets_every_completion_for_every_constructor(self):
         # Seeded, so every compound constructor is generated, which pins
@@ -746,9 +825,42 @@ class TestSearchTree:
         assert is_model(verdict.model, combined)
 
 
+# Statements 35, 172 and 187 of the `witness` benchmark corpus: punned,
+# self-referential shapes that read roles through `inv`, `atmost(0, ...)`
+# and `forall`. Each needed 6250, 12460 and 86679 candidates at bound 3
+# before the projection.
+PUNNED_STATEMENTS = {
+    35: """ontology s35 {
+  not(t0)(t0) .
+  inv(t0)(t0, t0) .
+  atmost(0, t0, bottom)(t0) .
+  oneof(t0) sub or(forall(t0, t0), bottom) .
+}""",
+    172: """ontology s172 {
+  oneof(t0)(t0) .
+  oneof(t0) sub atmost(0, t0, atleast(0, t0, t0)) .
+  inv(t0)(t0, t0) .
+}""",
+    187: """ontology s187 {
+  atmost(2, inv(t0), not(top))(t1) .
+  or(atmost(1, t0, t2), and(oneof(t2), top)) sub not(forall(t0, t1)) .
+  forall(t0, bottom)(t2) .
+  atleast(2, t2, exists(t2, t0))(t2) .
+  atmost(2, t1, atleast(1, t2, top))(t1) .
+  t0(t1, t2) .
+}""",
+}
+
+
 class TestRefutationsWithinBudget:
-    """Refutations that ran out of 20000 candidates before bound clashes
-    were checked first and lifted."""
+    """Refutations that ran out of their budget before bound clashes were
+    checked first and lifted (20000 candidates), or before constraints over
+    compound shapes were projected onto the atoms under them (1000)."""
+
+    @pytest.mark.parametrize("index", sorted(PUNNED_STATEMENTS))
+    def test_punned_statement_has_no_model_up_to_3(self, index):
+        (ontology,) = parse(PUNNED_STATEMENTS[index]).ontologies()
+        assert find_model(ontology, 3, budget=1000) == NoModelUpTo(3)
 
     def test_ndterms_irreflexivity_has_no_model_up_to_6(self):
         assert find_model(_rewrite(Strategy.ND_TERMS, _irreflexivity()), 6, budget=20000) == NoModelUpTo(6)
@@ -759,6 +871,46 @@ class TestRefutationsWithinBudget:
             Strategy.ND_TERMS, premise, conclusion, running_example_annotation(), 4, budget=20000)
         assert report.outcome is Outcome.HOLDS
         assert report.conclusion_verdict == NoCounterexampleUpTo(4)
+
+
+# Satisfiable statements `generate_corpus(seed, ..., max_terms=4,
+# max_axioms=5)[index]`, as "seed/index", where the retry of a projection
+# failure fails a frame whole in `find_model(..., 3)`.
+RETRIED_STATEMENTS = """
+10/149 13/153 23/21 25/182 32/192 37/188 40/46 40/61 41/167 43/149 47/43 57/101 59/83 61/123 66/130
+68/188 69/119 73/129 79/186 85/84 86/93 89/143 91/21 91/186 94/33 96/136 103/199 105/140 108/5 117/34
+121/57 123/76 123/139 128/67 128/171 131/130 138/21 144/151 147/112 148/156 152/9 152/61 154/24
+154/158 156/53 160/16 162/186 163/174 164/120 166/176 167/97 173/115 175/127 177/65 177/175 183/50
+184/172 185/71 186/62 190/141 195/130 200/45 203/185 207/119 209/127 210/171 229/48 235/89 237/82
+238/3 248/33 248/59 252/20 254/75 269/95 269/192 270/102 272/136 274/47 275/24 275/26 281/8 288/156
+289/55 290/174 294/183 296/6 298/184
+""".split()
+
+
+class TestLiftedRetry:
+    """A check-first failure that narrowing took part in is retried with the
+    deepest position it blames reading its frame's bracket, and if it fails
+    again, that frame fails whole. Only frames without a model may go so: the
+    search finds the same first witness as without the retry."""
+
+    def test_retry_keeps_the_first_witness(self, monkeypatch):
+        def outcome(onto):
+            verdict = find_model(onto, 3, budget=3000)
+            if isinstance(verdict, SatisfiableAt):
+                assert is_model(verdict.model, onto)
+            return verdict
+
+        ontologies = []
+        for entry in RETRIED_STATEMENTS:
+            seed, index = map(int, entry.split("/"))
+            ontologies.append(generate_corpus(seed, index + 1, max_terms=4, max_axioms=5)[index][0])
+        retried = [outcome(onto) for onto in ontologies]
+        monkeypatch.setattr(search_module, "_lift_position", lambda plan, blame, reads: -1)
+        plain = [outcome(onto) for onto in ontologies]
+        assert all(isinstance(verdict, SatisfiableAt) for verdict in plain)
+        for entry, with_retry, without in zip(RETRIED_STATEMENTS, retried, plain):
+            assert isinstance(with_retry, SatisfiableAt), entry
+            assert (with_retry.size, with_retry.model) == (without.size, without.model), entry
 
 
 @pytest.mark.parametrize("search", [

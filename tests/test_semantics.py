@@ -1,4 +1,5 @@
 import random
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +68,57 @@ class TestInterpretationInvariants:
             Interpretation(2, role={R: frozenset({(0, 5)})})
         with pytest.raises(ValueError):
             Interpretation(2, top_ctx={"k": frozenset({9})})
+
+    @pytest.mark.parametrize("size", [2, 3, 40])
+    @pytest.mark.parametrize("table, message", [
+        ("indiv", "individual a maps outside the domain: {size}"),
+        ("conc", "concept C maps outside the domain"),
+        ("role", "role R maps outside the domain"),
+        ("top_ctx", "context top k maps outside the domain"),
+    ])
+    def test_each_table_reports_its_out_of_domain_value(self, size, table, message):
+        # A valid denotation shared by another term comes first, so the
+        # failing one is tested although an equal-looking one passed.
+        empty = frozenset()
+        valid = {"indiv": {b: 0}, "conc": {D: empty}, "role": {S: empty}, "top_ctx": {"j": empty}}
+        out = {"indiv": {a: size}, "conc": {C: frozenset({0, size})},
+               "role": {R: frozenset({(0, 0), (0, size)})}, "top_ctx": {"k": frozenset({size})}}
+        tables = {name: dict(valid[name]) for name in valid}
+        tables[table].update(out[table])
+        with pytest.raises(ValueError, match=f"^{message.format(size=size)}$"):
+            Interpretation(size, **tables)
+
+    def test_denotations_built_as_they_are_read_are_each_tested(self):
+        # Each read builds a new set and drops the last one, so a later set
+        # may take the address, and the id, of one already found inside.
+        class Fresh(Mapping):
+            def __init__(self, members):
+                self.members = members
+
+            def __getitem__(self, t):
+                return frozenset(self.members[t])
+
+            def __iter__(self):
+                return iter(self.members)
+
+            def __len__(self):
+                return len(self.members)
+
+        members = {Term.nc(f"K{i}"): [i % 2] for i in range(6)}
+        members[C] = [5]
+        with pytest.raises(ValueError, match="concept C maps outside the domain"):
+            Interpretation(2, conc=Fresh(members))
+
+    def test_one_set_denoting_a_role_and_a_context_top_is_tested_as_each(self):
+        # Roles are tested before context tops, and a set of pairs found
+        # inside as a role is still tested as a set of elements.
+        pairs = frozenset({(0, 1)})
+        with pytest.raises(ValueError, match="context top k maps outside the domain"):
+            Interpretation(2, role={R: pairs}, top_ctx={"k": pairs})
+        # A set of elements found inside as a concept is no set of pairs.
+        members = frozenset({0})
+        with pytest.raises((TypeError, ValueError)):
+            Interpretation(2, conc={C: members}, role={R: members})
 
     def test_domain_extension_keeps_denotations(self):
         i = Interpretation(1, {a: 0}, {C: frozenset({0})}, {}, {})
