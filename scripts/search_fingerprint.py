@@ -3,8 +3,10 @@
     python3 scripts/search_fingerprint.py CHECKOUT OUT_DIR
 
 Runs every cell of the benchmark's ``refute`` and ``witness`` workloads
-(seeds 1 and 2) and 1500 random ontologies (``find_model`` and
-``check_entailment``) against the library in ``CHECKOUT/src``, and writes
+(seeds 1 and 2), the 72 curated cells of ``refute`` (12 ontologies or pairs
+under 6 strategies) at bound 5 with a budget of ``CURATED_BUDGET``, and
+1500 random ontologies (``find_model`` and ``check_entailment``) against
+the library in ``CHECKOUT/src``, and writes
 two files into ``OUT_DIR``. ``verdicts.jsonl`` holds one JSON line per call
 with its verdicts and serialized witnesses, or the budget it ran out of.
 ``counts.jsonl`` holds one JSON line per call with the number of candidates
@@ -69,6 +71,9 @@ EDGE_ONTOLOGY = """ontology edge {
 }
 """
 
+# The curated cells at bound 5 decide within about 77k candidates at most.
+CURATED_BUDGET = 3_000_000
+
 
 def digest(value: object) -> str:
     """Sixteen hex digits of the SHA-256 of `value`'s ``repr``: the library's
@@ -132,6 +137,17 @@ def main(checkout: Path, out_dir: Path) -> None:
                     for cell in sorted(built.cells, key=lambda c: c.id):
                         emit(f"{workload}/{seed}/{cell.id}", cell.run)
 
+        verify, strategy_enum = mods.verify, mods.strategies.Strategy
+        ca = workloads.running_example_annotation(mods)
+        for name, onto in verify.curated_inconsistent_ontologies():
+            for strategy in strategy_enum:
+                emit(f"curated/b5/inc/{name}/{strategy.value}", lambda: verify.check_inconsistency_preservation(
+                    strategy, onto, ca, 5, budget=CURATED_BUDGET))
+        for name, premise, conclusion in verify.curated_entailment_pairs():
+            for strategy in strategy_enum:
+                emit(f"curated/b5/ent/{name}/{strategy.value}", lambda: verify.check_entailment_preservation(
+                    strategy, premise, conclusion, ca, 5, budget=CURATED_BUDGET))
+
         ontology_of = mods.core.Ontology
         rng = random.Random(99)
         for i in range(1500):
@@ -178,7 +194,6 @@ def main(checkout: Path, out_dir: Path) -> None:
                         [annotation.AnnotatedOntology(onto, ca) for onto, ca in pairs[:k]], strategy))
                     k *= 2
 
-        ca = workloads.running_example_annotation(mods)
         curated = [onto for _, onto in mods.verify.curated_inconsistent_ontologies()]
         for _, premise, conclusion in mods.verify.curated_entailment_pairs():
             curated += [premise, conclusion]

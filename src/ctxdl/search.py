@@ -61,6 +61,15 @@ Pruning machinery, in order of impact:
   survives, that component's frame fails whole instead of trying its
   remaining candidates. A check-first failure that narrowing took part in
   is lifted the same way, by one retry of the position's check first;
+* precise conflict sets: a failure blames only the bounds it read. The
+  mask rules' monotonicity flags give the polarity of an atom in an axiom,
+  and where the atom occurs one way only, a check-first failure on the
+  bracket reads one end of it: the low end, set by the lower bounds, or
+  the high end, set by the upper and excluding ones. Only the producers of
+  that end are blamed. A clash is blamed on one member that one bound
+  forces and another excludes, and a lifted one replaces the bracketed
+  component by the producers of the ends the two lifted bounds read.
+  Polarity is computed on a failure path only, once per axiom and slot;
 * axioms are re-checked as soon as their last component is assigned, and
   interval-checked at each earlier one;
 * independent subproblems (connected components of the axiom/term graph) are
@@ -437,6 +446,32 @@ def _back_rule(e) -> Optional[Callable]:
     return None if row is None else row[2](e)
 
 
+# Which ends of an atom's bracket an end of an expression's interval reads:
+# bit 0 stands for the low end, bit 1 for the high end. The low end of an
+# expression reads the low end of an atom it is monotone in and the high end
+# of one it is antitone in; its high end reads the other two. `_FLIP` swaps
+# the two bits.
+_FLIP = (0, 2, 1, 3)
+
+
+def _polarity(e, slots: Slots, target: int) -> int:
+    """The ends of the atom at slot `target` that the low end of `e`'s
+    interval reads: bit 0 where `e` is monotone in an occurrence of the
+    atom, bit 1 where antitone, both where the atom occurs both ways; 0
+    where it does not occur. The high end reads `_FLIP` of it."""
+    read = _ATOMS.get(e.__class__)
+    if read is not None:
+        return 1 if slots.get(read(e)) == target else 0
+    row = _MASK_RULES.get(e.__class__)
+    if row is None:  # a leaf that reads no atom
+        return 0
+    out = 0
+    for child, monotone in zip(children(e), row[1]):
+        ends = _polarity(child, slots, target)
+        out |= ends if monotone else _FLIP[ends]
+    return out
+
+
 def _exact(e, slots: Slots, reads: set[int]) -> Exact:
     """The exact closure of `e`; `reads` gains the slot of each component
     it reads."""
@@ -706,7 +741,28 @@ class _Constraint:
 
         return decide
 
+    _polarities: Optional[dict] = None  # slot -> polarity in each side, filled on use
     _projectors: Optional[dict] = None  # target slot -> projector, filled on use
+
+    def polarity(self, slot: int) -> tuple[int, int]:
+        """`_polarity` of the atom at `slot` in the left and the right side,
+        computed on first use for each slot: only a failure reads it."""
+        if self._polarities is None:
+            self._polarities = {}
+        elif slot in self._polarities:
+            return self._polarities[slot]
+        out = self._polarities[slot] = (_polarity(self.left, self.slots, slot),
+                                        _polarity(self.right, self.slots, slot))
+        return out
+
+    def failure_ends(self, slot: int) -> int:
+        """The ends of the bracket at `slot` that `decide` reads when it
+        settles the axiom against its sign: a positive axiom fails on the low
+        end of the left side and the high end of the right one, and a
+        negative one holds on the other two ends."""
+        left, right = self.polarity(slot)
+        ends = left | _FLIP[right]
+        return ends if self.positive else _FLIP[ends]
 
     def projector(self, target: int) -> Optional[Callable[[Vals, _Domain], tuple[int, int]]]:
         """`project(vals, dom) -> (lo, hi)`: bounds on the atom at slot
@@ -741,24 +797,32 @@ Bound = Callable[[Vals, _Domain], int]
 
 
 class _Producer:
-    """A constraint consumed as a bound on one component once its other
-    components are assigned: the kind, "L" (forced members), "U" (allowed
-    members) or "X" (excluded members), `expr`, the side of the inclusion
-    whose value is the bound's mask, and `bound`, that side's exact closure.
-    `lifted` gives a bound that stays valid while a component holds a
-    bracket: `expr` under interval semantics, its low end for "L" and "X"
-    and its high end for "U". It is compiled on first use."""
+    """A constraint `con` consumed as a bound on one component once its
+    other components are assigned: the kind, "L" (forced members), "U"
+    (allowed members) or "X" (excluded members), `expr`, the side of the
+    inclusion whose value is the bound's mask, and `bound`, that side's
+    exact closure. `lifted` gives a bound that stays valid while a component
+    holds a bracket: `expr` under interval semantics, its low end for "L"
+    and "X" and its high end for "U". It is compiled on first use. A plan
+    sets `reads`, the positions the bound reads."""
 
-    def __init__(self, kind: str, expr, bound: Bound, slots: Slots):
+    reads = 0
+
+    def __init__(self, kind: str, con: "_Constraint", side: int):
         self.kind = kind
-        self.expr = expr
-        self.bound = bound
-        self.slots = slots
+        self.con = con
+        self.expr = (con.left, con.right)[side]
+        self.bound = con.exact_of(side)
 
     @cached_property
     def lifted(self) -> Bound:
-        f, end = _interval(self.expr, self.slots), 1 if self.kind == "U" else 0
+        f, end = _interval(self.expr, self.con.slots), 1 if self.kind == "U" else 0
         return lambda v, d: f(v, d)[end]
+
+    def ends(self, slot: int) -> int:
+        """The ends of the bracket at `slot` that `lifted` reads."""
+        left, right = self.con.polarity(slot)
+        return _FLIP[right] if self.kind == "U" else left
 
 
 def _producer(con: _Constraint, target: int) -> Optional[_Producer]:
@@ -768,9 +832,9 @@ def _producer(con: _Constraint, target: int) -> Optional[_Producer]:
     the right below by the left side; an assertion required to fail
     excludes its point."""
     if target == con.upper:
-        return _Producer("U", con.right, con.exact_of(1), con.slots)
+        return _Producer("U", con, 1)
     if target == con.lower:
-        return _Producer("L" if con.positive else "X", con.left, con.exact_of(0), con.slots)
+        return _Producer("L" if con.positive else "X", con, 0)
     return None
 
 
@@ -803,12 +867,16 @@ class _Plan:
     aspects: list[str]
     # Per position, a list of entries, or one shared empty tuple for none:
     # a position's first entry gives it a list.
-    # The producers consumed at each position, and the positions they read.
+    # The producers consumed at each position, the positions they read, and
+    # the positions read by those that set the low end of its bracket ("L")
+    # and by those that set the high end ("U" and "X").
     producers_at: list[Sequence[_Producer]]
     producer_reads: list[int]
-    # (holds, decide, positive, positions of the constraint's other
-    # components, the maker of its projector onto a slot)
-    checks_at: list[Sequence[tuple[Callable, Callable, bool, int, Callable]]]
+    end_reads: list[tuple[int, int]]
+    # [holds, decide, positive, positions of the constraint's other
+    # components, the constraint, the conflict set of its check-first
+    # failure on an unnarrowed bracket, or None until one happens]
+    checks_at: list[Sequence[list]]
     # (decide, not positive, positions of the constraint's earlier components)
     watch_at: list[Sequence[tuple[Callable, bool, int]]]
 
@@ -827,6 +895,7 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
 
     producers_at: list = [()] * len(order)
     producer_reads = [0] * len(order)
+    end_reads = [(0, 0)] * len(order)
     checks_at: list = [()] * len(order)
     watch_at: list = [()] * len(order)
     for con in constraints:
@@ -841,11 +910,14 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
             if not (entries := producers_at[i]):
                 entries = producers_at[i] = []
             entries.append(prod)
+            prod.reads = others
             producer_reads[i] |= others
+            low, high = end_reads[i]
+            end_reads[i] = (low | others, high) if prod.kind == "L" else (low, high | others)
         else:
             if not (entries := checks_at[i]):
                 entries = checks_at[i] = []
-            entries.append((con.holds, con.decide, con.positive, others, con.projector))
+            entries.append([con.holds, con.decide, con.positive, others, con, None])
             # Interval-check the axiom at every earlier component; many
             # axioms are settled well before their last component. Settled
             # negatively by assigned components alone, so only those can be
@@ -858,15 +930,14 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
                     entries.append((con.decide, not con.positive, positions & ((1 << j) - 1)))
 
     aspects = [keys[c][0] for c in order]
-    return _Plan(order, aspects, producers_at, producer_reads, checks_at, watch_at)
+    return _Plan(order, aspects, producers_at, producer_reads, end_reads, checks_at, watch_at)
 
 
-def _bracket(producers: list[_Producer], vals: Vals, d: _Domain, upper: int, lifted: bool = False) -> tuple[int, int]:
-    """The `(lower, upper)` bounds the producers put on one component, from
-    their exact bounds, or from their lifted ones when `lifted`."""
+def _bracket(producers: list[_Producer], vals: Vals, d: _Domain, upper: int) -> tuple[int, int]:
+    """The `(lower, upper)` bounds the producers put on one component."""
     lower = 0
     for prod in producers:
-        mask = (prod.lifted if lifted else prod.bound)(vals, d)
+        mask = prod.bound(vals, d)
         kind = prod.kind
         if kind == "L":
             lower |= mask
@@ -877,25 +948,78 @@ def _bracket(producers: list[_Producer], vals: Vals, d: _Domain, upper: int, lif
     return lower, upper
 
 
-def _clash_conflict(plan: _Plan, frames: list[list], j: int, vals: Vals, d: _Domain, full: int) -> int:
+def _end_reads(ends: int, low: int, high: int) -> int:
+    """The positions that set the ends in `ends` (bit 0 the low end, bit 1
+    the high end) of a bracket whose low end the positions `low` set and
+    whose high end the positions `high` set."""
+    return (low if ends & 1 else 0) | (high if ends & 2 else 0)
+
+
+def _check_conflict(plan: _Plan, i: int, con: _Constraint, others: int) -> int:
+    """The conflict set of a check-first failure of `con` at position i on
+    the bracket its producers give: the positions of `con`'s other
+    components, and of the producers that set the ends of the bracket that
+    the failure reads. The atom at i is monotone or antitone in each of its
+    occurrences, so where they all agree the failure reads one end only,
+    and it holds on the bracket widened to everything past that end."""
+    return others | _end_reads(con.failure_ends(plan.slots[i]), *plan.end_reads[i])
+
+
+def _clash_pairs(producers: Sequence[_Producer], masks: Sequence[int]) -> list[tuple]:
+    """The pairs of `producers` whose bounds, `masks`, clash: one forces a
+    member that the other excludes."""
+    forced, excluded = [], []
+    for prod, mask in zip(producers, masks):
+        if prod.kind == "L":
+            forced.append((prod, mask))
+        else:
+            excluded.append((prod, ~mask if prod.kind == "U" else mask))
+    return [(p, q) for p, m in forced for q, x in excluded if m & x]
+
+
+def _reads_of(producers: Sequence[_Producer]) -> int:
+    """The positions the bounds of `producers` read."""
+    out = 0
+    for prod in producers:
+        out |= prod.reads
+    return out
+
+
+def _clash_conflict(plan: _Plan, frames: list[list], j: int, vals: Vals, d: _Domain) -> int:
     """The conflict set of a clash between the bounds of position j.
 
-    The clash is re-run on the lifted bounds, with the deepest position k it
-    blames reading its frame's own bracket. If it survives, no value at k
-    can help, and frame k fails whole: in the blame, k is replaced by k's
-    accumulated conflict set and the positions k's producers read.
-    Otherwise the blame itself is returned, and the search backjumps to k."""
-    blame = plan.producer_reads[j]
+    A clash is explained by one member that one producer forces and another
+    excludes: of the pairs that clash, the one whose positions form the
+    least mask is blamed, so that the jump goes as far back as it can. The
+    clash is then re-run on the lifted bounds, with the deepest position k
+    it blames reading its frame's own bracket. A pair that still clashes and
+    reads k shows that no value at k can help, and frame k fails whole: in
+    the pair's blame, k is replaced by k's accumulated conflict set and the
+    positions that set the ends of k's bracket the two lifted bounds read.
+    The least of these conflict sets is returned; without one, the search
+    backjumps to k."""
+    producers = plan.producers_at[j]
+    if len(producers) == 2:  # the one pair that can clash
+        blame = plan.producer_reads[j]
+    else:
+        blame = min(_reads_of(pair) for pair in _clash_pairs(producers, [p.bound(vals, d) for p in producers]))
     k = blame.bit_length() - 1
     if k < 0 or plan.aspects[k] == IND:
         return blame
-    _, conflict_k, reads_k, lower_k, upper_k, _ = frames[k]
+    frame = frames[k]
     slot = plan.slots[k]
-    value, vals[slot] = vals[slot], (lower_k, upper_k)
-    lower, upper = _bracket(plan.producers_at[j], vals, d, full, lifted=True)
+    # Only a bound that reads k moves when k reads its bracket.
+    value, vals[slot] = vals[slot], (frame[3], frame[4])
+    masks = [(p.lifted if p.reads >> k & 1 else p.bound)(vals, d) for p in producers]
     vals[slot] = value
-    if lower & ~upper:
-        return blame & ~(1 << k) | conflict_k | reads_k
+    for pair in _clash_pairs(producers, masks):
+        reads = _reads_of(pair)
+        if reads >> k & 1:
+            ends = 0
+            for prod in pair:
+                if prod.reads >> k & 1:
+                    ends |= prod.ends(slot)
+            blame = min(blame, reads & ~(1 << k) | frame[1] | _end_reads(ends, *frame[6]))
     return blame
 
 
@@ -920,8 +1044,10 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
 
     Depth-first over the plan's order with an explicit stack: one frame per
     assigned position holds its remaining candidates, its conflict set, the
-    positions its producers read, its bounds, and the checks its bounds
-    leave open."""
+    positions its producers read, its bounds, the checks its bounds leave
+    open, and the positions that set the low and the high end of its
+    bounds: its `end_reads`, or all the positions its producers read where
+    narrowing made each end depend on both."""
     depth = len(plan.slots)
     pslots, aspects = plan.slots, plan.aspects
     tick = budget.tick
@@ -939,6 +1065,7 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
         reads = plan.producer_reads[i]
         checks = open_checks = plan.checks_at[i]
         blame = 0
+        narrowed = False
         if aspects[i] == IND:
             candidates: Iterator = iter(range(d.n))
             lower = upper = None
@@ -946,7 +1073,7 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
             full = d.pairs if aspects[i] == ROLE else d.full
             lower, upper = _bracket(plan.producers_at[i], vals, d, full)
             if lower & ~upper:
-                returned = _clash_conflict(plan, frames, i, vals, d, full)
+                returned = _clash_conflict(plan, frames, i, vals, d)
             elif checks:
                 # Check first, over the whole bracket: a constraint settled
                 # against fails every candidate, so none is tried; one
@@ -957,26 +1084,34 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
                 # projector allows, and a second round decides the open
                 # constraints again on the narrowed bracket. `blame`
                 # gathers the positions of the constraints that narrowed
-                # it: the frame's conflict set starts there.
+                # it: the frame's conflict set starts there. A failure on
+                # the bracket the producers give blames only those that set
+                # the ends it reads; one on a narrowed bracket blames them
+                # all, since narrowing reads both ends to move either.
                 slot = pslots[i]
                 project = failed_at >> i & 1
                 while True:
                     vals[slot] = (lower, upper)
                     open_checks, projectable = [], []
                     for check in checks:
-                        _, decide, positive, others, _ = check
+                        _, decide, positive, others, con, conflict = check
                         settled = decide(vals, d)
                         if settled is None:
                             open_checks.append(check)
                             if project and positive:
                                 projectable.append(check)
                         elif settled is not positive:
-                            returned = others | blame | reads
+                            if narrowed:
+                                returned = others | blame | reads
+                            elif conflict is None:
+                                returned = check[5] = _check_conflict(plan, i, con, others)
+                            else:
+                                returned = conflict
                             break
                     if returned is not None or not projectable:
                         break
                     for check in projectable:
-                        projector = check[4](slot)
+                        projector = check[4].projector(slot)
                         if projector is None:
                             continue
                         lo, hi = projector(vals, d)
@@ -984,6 +1119,7 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
                         if lo != lower or hi != upper:
                             lower, upper = lo, hi
                             blame |= check[3]
+                            narrowed = True
                             if lower & ~upper:
                                 returned = blame | reads
                                 break
@@ -1017,7 +1153,8 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
                 vals[pslots[k]] = frames[k][3], frames[k][4]
                 continue
         if returned is None:
-            frames.append([candidates, blame, reads, lower, upper, open_checks])
+            ends = (reads, reads) if narrowed else plan.end_reads[i]
+            frames.append([candidates, blame, reads, lower, upper, open_checks, ends])
         else:
             failed_at |= 1 << i
 
@@ -1040,7 +1177,7 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
                 tick()
                 vals[slot] = value
                 failed = False
-                for holds, _, positive, others, _ in checks:
+                for holds, _, positive, others, _, _ in checks:
                     if holds(vals, d) is not positive:
                         conflict |= others
                         failed = True
