@@ -52,30 +52,35 @@ Pruning machinery, in order of impact:
   (the left side inside the high end of the right side, the right side
   around the low end of the left side) down to the position's own atom and
   narrows the bracket; an empty bracket fails the frame, and the open
-  axioms are decided again on the narrowed one. The constraints that
-  narrowed it start the frame's conflict set. Surviving candidates keep
+  axioms are decided again on the narrowed one. Surviving candidates keep
   their order, so the first witness does not move;
-* a clash between the bounds (a forced member that is not allowed) is
-  lifted: the bounds are recomputed under interval semantics with the
-  deepest component they read reading its own bracket, and if the clash
-  survives, that component's frame fails whole instead of trying its
-  remaining candidates. A check-first failure that narrowing took part in
-  is lifted the same way, by one retry of the position's check first;
-* precise conflict sets: a failure blames only the bounds it read. The
-  mask rules' monotonicity flags give the polarity of an atom in an axiom,
-  and where the atom occurs one way only, a check-first failure on the
-  bracket reads one end of it: the low end, set by the lower bounds, or
-  the high end, set by the upper and excluding ones. Only the producers of
-  that end are blamed. A clash is blamed on one member that one bound
-  forces and another excludes, and a lifted one replaces the bracketed
-  component by the producers of the ends the two lifted bounds read.
+* one failure rule (conflict-directed backjumping, Prosser 1993): every
+  failure returns a conflict set, the positions it read, and the jump back
+  merges it into the deepest frame it names. A frame's bracket records the
+  positions that set its low end (the lower bounds' producers) and its
+  high end (the upper and excluding ones). The mask rules' monotonicity
+  flags give the polarity of an atom in an axiom, and where the atom
+  occurs one way only, a check-first failure reads one end of the bracket:
+  it blames the axiom's other components and the setters of that end.
+  Narrowing reads both ends to move either, so it makes the producers and
+  the axioms that narrowed the setters of both; an empty bracket blames
+  both ends, and an exhausted frame its conflict set and both ends.
   Polarity is computed on a failure path only, once per axiom and slot;
+* lifting: a clash between the bounds (a forced member that is not
+  allowed) is blamed on one member that one bound forces and another
+  excludes, and re-run with the bounds under interval semantics and the
+  deepest component they read reading its own bracket. A check-first
+  failure that narrowing took part in is retried once the same way. If
+  the failure survives, that component's frame fails whole instead of
+  trying its remaining candidates: in the conflict set, the component is
+  replaced by its frame's conflict set and the setters of the ends of its
+  bracket that were read;
 * axioms are re-checked as soon as their last component is assigned, and
   interval-checked at each earlier one;
 * independent subproblems (connected components of the axiom/term graph) are
   solved separately and merged;
-* on failure, conflict-directed backjumping skips re-enumeration of
-  components that did not contribute to the conflict.
+* on failure, backjumping skips re-enumeration of components that did not
+  contribute to the conflict.
 
 Verdicts are always relative to the bound; `NoModelUpTo(n)` is a complete
 claim for every domain of size <= n over the ontology's signature.
@@ -867,15 +872,14 @@ class _Plan:
     aspects: list[str]
     # Per position, a list of entries, or one shared empty tuple for none:
     # a position's first entry gives it a list.
-    # The producers consumed at each position, the positions they read, and
-    # the positions read by those that set the low end of its bracket ("L")
-    # and by those that set the high end ("U" and "X").
+    # The producers consumed at each position, and the positions read by
+    # those that set the low end of its bracket ("L") and by those that set
+    # the high end ("U" and "X").
     producers_at: list[Sequence[_Producer]]
-    producer_reads: list[int]
     end_reads: list[tuple[int, int]]
     # [holds, decide, positive, positions of the constraint's other
-    # components, the constraint, the conflict set of its check-first
-    # failure on an unnarrowed bracket, or None until one happens]
+    # components, the constraint, the ends of the bracket its check-first
+    # failure reads (`failure_ends`), or None until one happens]
     checks_at: list[Sequence[list]]
     # (decide, not positive, positions of the constraint's earlier components)
     watch_at: list[Sequence[tuple[Callable, bool, int]]]
@@ -894,7 +898,6 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
     position = {c: idx for idx, c in enumerate(order)}
 
     producers_at: list = [()] * len(order)
-    producer_reads = [0] * len(order)
     end_reads = [(0, 0)] * len(order)
     checks_at: list = [()] * len(order)
     watch_at: list = [()] * len(order)
@@ -911,7 +914,6 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
                 entries = producers_at[i] = []
             entries.append(prod)
             prod.reads = others
-            producer_reads[i] |= others
             low, high = end_reads[i]
             end_reads[i] = (low | others, high) if prod.kind == "L" else (low, high | others)
         else:
@@ -930,7 +932,7 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
                     entries.append((con.decide, not con.positive, positions & ((1 << j) - 1)))
 
     aspects = [keys[c][0] for c in order]
-    return _Plan(order, aspects, producers_at, producer_reads, end_reads, checks_at, watch_at)
+    return _Plan(order, aspects, producers_at, end_reads, checks_at, watch_at)
 
 
 def _bracket(producers: list[_Producer], vals: Vals, d: _Domain, upper: int) -> tuple[int, int]:
@@ -955,14 +957,13 @@ def _end_reads(ends: int, low: int, high: int) -> int:
     return (low if ends & 1 else 0) | (high if ends & 2 else 0)
 
 
-def _check_conflict(plan: _Plan, i: int, con: _Constraint, others: int) -> int:
-    """The conflict set of a check-first failure of `con` at position i on
-    the bracket its producers give: the positions of `con`'s other
-    components, and of the producers that set the ends of the bracket that
-    the failure reads. The atom at i is monotone or antitone in each of its
-    occurrences, so where they all agree the failure reads one end only,
-    and it holds on the bracket widened to everything past that end."""
-    return others | _end_reads(con.failure_ends(plan.slots[i]), *plan.end_reads[i])
+def _fail_whole(frame: list, k: int, blame: int, ends: int) -> int:
+    """The conflict set of a failure that blames `blame` and recurs with the
+    deepest position it blames, k, reading `frame`'s bracket: no value at k
+    can help, so frame k fails whole. In the blame, k is replaced by k's
+    accumulated conflict set and the positions that set the ends in `ends`
+    of k's bracket, those the failure read."""
+    return blame & ~(1 << k) | frame[1] | _end_reads(ends, frame[5], frame[6])
 
 
 def _clash_pairs(producers: Sequence[_Producer], masks: Sequence[int]) -> list[tuple]:
@@ -993,14 +994,13 @@ def _clash_conflict(plan: _Plan, frames: list[list], j: int, vals: Vals, d: _Dom
     least mask is blamed, so that the jump goes as far back as it can. The
     clash is then re-run on the lifted bounds, with the deepest position k
     it blames reading its frame's own bracket. A pair that still clashes and
-    reads k shows that no value at k can help, and frame k fails whole: in
-    the pair's blame, k is replaced by k's accumulated conflict set and the
-    positions that set the ends of k's bracket the two lifted bounds read.
-    The least of these conflict sets is returned; without one, the search
-    backjumps to k."""
+    reads k fails frame k whole (`_fail_whole`, with the ends of k's bracket
+    that the two lifted bounds read). The least of these conflict sets is
+    returned; without one, the search backjumps to k."""
     producers = plan.producers_at[j]
     if len(producers) == 2:  # the one pair that can clash
-        blame = plan.producer_reads[j]
+        low, high = plan.end_reads[j]
+        blame = low | high
     else:
         blame = min(_reads_of(pair) for pair in _clash_pairs(producers, [p.bound(vals, d) for p in producers]))
     k = blame.bit_length() - 1
@@ -1009,7 +1009,7 @@ def _clash_conflict(plan: _Plan, frames: list[list], j: int, vals: Vals, d: _Dom
     frame = frames[k]
     slot = plan.slots[k]
     # Only a bound that reads k moves when k reads its bracket.
-    value, vals[slot] = vals[slot], (frame[3], frame[4])
+    value, vals[slot] = vals[slot], (frame[2], frame[3])
     masks = [(p.lifted if p.reads >> k & 1 else p.bound)(vals, d) for p in producers]
     vals[slot] = value
     for pair in _clash_pairs(producers, masks):
@@ -1019,7 +1019,7 @@ def _clash_conflict(plan: _Plan, frames: list[list], j: int, vals: Vals, d: _Dom
             for prod in pair:
                 if prod.reads >> k & 1:
                     ends |= prod.ends(slot)
-            blame = min(blame, reads & ~(1 << k) | frame[1] | _end_reads(ends, *frame[6]))
+            blame = min(blame, _fail_whole(frame, k, reads, ends))
     return blame
 
 
@@ -1037,125 +1037,114 @@ def _lift_position(plan: _Plan, blame: int, reads: int) -> int:
     return k
 
 
+def _push(plan: _Plan, frames: list[list], i: int, vals: Vals, d: _Domain, project: int) -> list | tuple[int, int]:
+    """The frame of position i, or its failure.
+
+    A frame is [its remaining candidates, its conflict set, the low and the
+    high end of its bracket, the checks the bracket leaves open, the
+    positions that set the low end and those that set the high end]. A
+    failure is `(its conflict set, k)`, where k is the position to read its
+    frame's bracket in a retry (`_lift_position`) for a failure that
+    narrowing took part in, and -1 for any other.
+
+    A clash between the bounds fails as `_clash_conflict` says. Then check
+    first, over the whole bracket: a constraint settled against fails every
+    candidate, so none is tried, and blames the positions of its other
+    components and those that set the ends of the bracket it reads; one
+    settled in favour holds for every candidate, so it is not checked per
+    candidate. Then, where `project` is set, each positive constraint left
+    open narrows the bracket to the values its projector allows, and a
+    second round decides the open constraints again on the narrowed
+    bracket. Narrowing reads both ends to move either, so after it both
+    ends are set by the positions the producers read and by those of the
+    constraints that narrowed (`blame`), where the frame's conflict set
+    starts too; an empty bracket blames both ends."""
+    checks = open_checks = plan.checks_at[i]
+    aspect = plan.aspects[i]
+    if aspect == IND:  # no producer bounds an individual
+        return [iter(range(d.n)), 0, None, None, checks, 0, 0]
+    lower, upper = _bracket(plan.producers_at[i], vals, d, d.pairs if aspect == ROLE else d.full)
+    if lower & ~upper:
+        return _clash_conflict(plan, frames, i, vals, d), -1
+    low, high = plan.end_reads[i]
+    slot, reads, blame = plan.slots[i], low | high, 0
+    conflict = None
+    while checks:
+        vals[slot] = (lower, upper)
+        open_checks, projectable = [], []
+        for check in checks:
+            _, decide, positive, others, con, ends = check
+            settled = decide(vals, d)
+            if settled is None:
+                open_checks.append(check)
+                if project and positive:
+                    projectable.append(check)
+            elif settled is not positive:
+                if ends is None:
+                    ends = check[5] = con.failure_ends(slot)
+                conflict = others | _end_reads(ends, low, high)
+                break
+        else:
+            for check in projectable:
+                projector = check[4].projector(slot)
+                if projector is None:
+                    continue
+                lo, hi = projector(vals, d)
+                lo, hi = lo | lower, hi & upper
+                if lo != lower or hi != upper:
+                    lower, upper = lo, hi
+                    blame |= check[3]
+                    low = high = reads | blame
+                    if lower & ~upper:
+                        conflict = low
+                        break
+                    vals[slot] = (lower, upper)
+        if conflict is not None or not projectable or not blame:
+            break
+        checks, project = open_checks, 0
+    vals[slot] = None
+    if conflict is None:
+        return [_submasks(lower, upper ^ lower), blame, lower, upper, open_checks, low, high]
+    return conflict, _lift_position(plan, conflict, reads) if blame else -1
+
+
 def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Optional[int]:
     """Fill `vals` with a satisfying assignment for this group, or return the
     conflict set (a mask of positions) of an exhausted search. None means
     success.
 
-    Depth-first over the plan's order with an explicit stack: one frame per
-    assigned position holds its remaining candidates, its conflict set, the
-    positions its producers read, its bounds, the checks its bounds leave
-    open, and the positions that set the low and the high end of its
-    bounds: its `end_reads`, or all the positions its producers read where
-    narrowing made each end depend on both."""
+    Depth-first over the plan's order with an explicit stack of the frames
+    `_push` makes. Every failure returns a conflict set, and the jump back
+    merges it into the frame of the deepest position it blames. A failure
+    that narrowing took part in is pushed once more with the position k it
+    names reading frame k's bracket; if that fails too and blames no
+    position between k and i, frame k fails whole (`_fail_whole`, reading
+    both ends). An exhausted frame blames its conflict set and the
+    positions that set the ends of its bracket."""
     depth = len(plan.slots)
-    pslots, aspects = plan.slots, plan.aspects
+    pslots = plan.slots
     tick = budget.tick
     frames: list[list] = []
-    failed_at = 0  # positions where a frame has failed
-    # While a failure is retried with the deepest position k it blames
-    # reading its frame's bracket: (k, k's value, the failure's conflict set).
-    lifted: Optional[tuple[int, object, int]] = None
+    failed_at = 0  # positions where a frame has failed: projection runs there
     while True:
-        # Bound the component at the next position and push its frame.
+        # Push the frame of the next position.
         i = len(frames)
         if i == depth:
             return None
+        project = failed_at >> i & 1
+        pushed = _push(plan, frames, i, vals, d, project)
         returned: Optional[int] = None
-        reads = plan.producer_reads[i]
-        checks = open_checks = plan.checks_at[i]
-        blame = 0
-        narrowed = False
-        if aspects[i] == IND:
-            candidates: Iterator = iter(range(d.n))
-            lower = upper = None
+        if pushed.__class__ is list:
+            frames.append(pushed)
         else:
-            full = d.pairs if aspects[i] == ROLE else d.full
-            lower, upper = _bracket(plan.producers_at[i], vals, d, full)
-            if lower & ~upper:
-                returned = _clash_conflict(plan, frames, i, vals, d)
-            elif checks:
-                # Check first, over the whole bracket: a constraint settled
-                # against fails every candidate, so none is tried; one
-                # settled in favour holds for every candidate, so it is not
-                # checked per candidate. Then, at a position where a frame
-                # has failed before in this search, each positive
-                # constraint left open narrows the bracket to the values its
-                # projector allows, and a second round decides the open
-                # constraints again on the narrowed bracket. `blame`
-                # gathers the positions of the constraints that narrowed
-                # it: the frame's conflict set starts there. A failure on
-                # the bracket the producers give blames only those that set
-                # the ends it reads; one on a narrowed bracket blames them
-                # all, since narrowing reads both ends to move either.
-                slot = pslots[i]
-                project = failed_at >> i & 1
-                while True:
-                    vals[slot] = (lower, upper)
-                    open_checks, projectable = [], []
-                    for check in checks:
-                        _, decide, positive, others, con, conflict = check
-                        settled = decide(vals, d)
-                        if settled is None:
-                            open_checks.append(check)
-                            if project and positive:
-                                projectable.append(check)
-                        elif settled is not positive:
-                            if narrowed:
-                                returned = others | blame | reads
-                            elif conflict is None:
-                                returned = check[5] = _check_conflict(plan, i, con, others)
-                            else:
-                                returned = conflict
-                            break
-                    if returned is not None or not projectable:
-                        break
-                    for check in projectable:
-                        projector = check[4].projector(slot)
-                        if projector is None:
-                            continue
-                        lo, hi = projector(vals, d)
-                        lo, hi = lo | lower, hi & upper
-                        if lo != lower or hi != upper:
-                            lower, upper = lo, hi
-                            blame |= check[3]
-                            narrowed = True
-                            if lower & ~upper:
-                                returned = blame | reads
-                                break
-                            vals[slot] = (lower, upper)
-                    if returned is not None or not blame:
-                        break
-                    checks, project = open_checks, 0
-                vals[slot] = None
-            if returned is None:
-                candidates = _submasks(lower, upper ^ lower)
-        if lifted is not None:
-            # The retry of a failure with k reading its bracket. If it fails
-            # too, and blames no position between k and i, no value at k
-            # can help, and frame k fails whole: in the blame, k is replaced
-            # by k's accumulated conflict set and the positions k's
-            # producers read.
-            k, value, first = lifted
-            vals[pslots[k]] = value
-            lifted = None
-            if returned is None or returned >> k + 1:
-                returned = first
-            else:
-                returned = returned & ~(1 << k) | frames[k][1] | frames[k][2]
-        elif blame and returned is not None:
-            # A failure that narrowing took part in is retried once, as a
-            # clash is, with the deepest position k it blames reading its
-            # frame's own bracket.
-            k = _lift_position(plan, returned, reads)
+            returned, k = pushed
             if k >= 0:
-                lifted = k, vals[pslots[k]], returned
-                vals[pslots[k]] = frames[k][3], frames[k][4]
-                continue
-        if returned is None:
-            ends = (reads, reads) if narrowed else plan.end_reads[i]
-            frames.append([candidates, blame, reads, lower, upper, open_checks, ends])
-        else:
+                frame, slot = frames[k], pslots[k]
+                value, vals[slot] = vals[slot], (frame[2], frame[3])
+                retried = _push(plan, frames, i, vals, d, project)
+                vals[slot] = value
+                if retried.__class__ is tuple and not retried[0] >> k + 1:
+                    returned = _fail_whole(frame, k, retried[0], 3)
             failed_at |= 1 << i
 
         # Try candidates at the top frame; pop the frames that are exhausted
@@ -1172,7 +1161,7 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
                 frame[1] |= returned & ~(1 << i)
                 returned = None
             conflict = frame[1]
-            checks, watches = frame[5], plan.watch_at[i]
+            checks, watches = frame[4], plan.watch_at[i]
             for value in frame[0]:
                 tick()
                 vals[slot] = value
@@ -1194,7 +1183,7 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
                 vals[slot] = None
                 frames.pop()
                 failed_at |= 1 << i
-                returned = conflict | frame[2]
+                returned = conflict | frame[5] | frame[6]
                 continue
             frame[1] = conflict
             break

@@ -911,6 +911,11 @@ RETRIED_STATEMENTS = """
 """.split()
 
 
+def retried_ontologies():
+    return [generate_corpus(seed, index + 1, max_terms=4, max_axioms=5)[index][0]
+            for seed, index in (map(int, entry.split("/")) for entry in RETRIED_STATEMENTS)]
+
+
 class TestLiftedRetry:
     """A check-first failure that narrowing took part in is retried with the
     deepest position it blames reading its frame's bracket, and if it fails
@@ -924,10 +929,7 @@ class TestLiftedRetry:
                 assert is_model(verdict.model, onto)
             return verdict
 
-        ontologies = []
-        for entry in RETRIED_STATEMENTS:
-            seed, index = map(int, entry.split("/"))
-            ontologies.append(generate_corpus(seed, index + 1, max_terms=4, max_axioms=5)[index][0])
+        ontologies = retried_ontologies()
         retried = [outcome(onto) for onto in ontologies]
         monkeypatch.setattr(search_module, "_lift_position", lambda plan, blame, reads: -1)
         plain = [outcome(onto) for onto in ontologies]
@@ -935,6 +937,33 @@ class TestLiftedRetry:
         for entry, with_retry, without in zip(RETRIED_STATEMENTS, retried, plain):
             assert isinstance(with_retry, SatisfiableAt), entry
             assert (with_retry.size, with_retry.model) == (without.size, without.model), entry
+
+    def test_narrowing_sets_both_ends_of_the_bracket(self, monkeypatch):
+        # Narrowing reads both ends of the bracket to move either, so a
+        # narrowed frame's low and high end are both set by the positions
+        # its producers read and by those of the constraints that narrowed
+        # it, where its conflict set starts; an unnarrowed frame keeps the
+        # ends its producers set.
+        push = search_module._push
+        moved = 0
+
+        def pushed(plan, frames, i, vals, d, project):
+            nonlocal moved
+            frame = push(plan, frames, i, vals, d, project)
+            if frame.__class__ is list and plan.aspects[i] != IND:
+                low, high = plan.end_reads[i]
+                full = d.pairs if plan.aspects[i] == ROLE else d.full
+                if (frame[2], frame[3]) == search_module._bracket(plan.producers_at[i], vals, d, full):
+                    assert (frame[1], frame[5], frame[6]) == (0, low, high)
+                else:
+                    assert frame[5] == frame[6] == low | high | frame[1]
+                    moved += (frame[5], frame[6]) != (low, high)
+            return frame
+
+        monkeypatch.setattr(search_module, "_push", pushed)
+        for onto in retried_ontologies():
+            find_model(onto, 3, budget=3000)
+        assert moved > 150, moved  # 179 frames
 
 
 def random_bracket(rng, width):
@@ -1122,12 +1151,13 @@ class TestPreciseConflicts:
     witnesses as with every producer blamed, and never tries more."""
 
     def test_blamed_producers_still_force_the_failure(self, monkeypatch):
-        plan_group, clash_conflict = search_module._plan_group, search_module._clash_conflict
+        plan_group, push, clash_conflict = search_module._plan_group, search_module._push, search_module._clash_conflict
         seen = {"refined": 0, "lifted": 0}
+        failures = []  # (entry, its decide, the values it read, its verdict)
 
-        # Each check first reads a check's `decide` from its plan entry; the
-        # conflict set of its failure is computed once per entry, so every
-        # failure is checked against it here.
+        # Each check first reads a check's `decide` from its plan entry: a
+        # failure on the bracket its producers give is recorded here, and
+        # checked against the conflict set that the push returns.
         def checked(plan, i, entry):
             decide, con, slot = entry[1], entry[4], plan.slots[i]
 
@@ -1136,11 +1166,7 @@ class TestPreciseConflicts:
                 full = d.pairs if plan.aspects[i] == ROLE else d.full
                 unnarrowed = vals[slot] == search_module._bracket(plan.producers_at[i], vals, d, full)
                 if settled is (not con.positive) and unnarrowed:
-                    conflict = search_module._check_conflict(plan, i, con, entry[3])
-                    widened = list(vals)
-                    widened[slot] = pinned_bracket(plan, i, conflict, vals, d)
-                    assert decide(widened, d) is settled, (con.left, con.right)
-                    seen["refined"] += conflict != entry[3] | plan.producer_reads[i]
+                    failures.append((entry, decide, list(vals), settled))
                 return settled
 
             return check_first
@@ -1151,6 +1177,20 @@ class TestPreciseConflicts:
                 for entry in entries:
                     entry[1] = checked(plan, i, entry)
             return plan
+
+        def pushed(plan, frames, i, vals, d, project):
+            failures.clear()
+            out = push(plan, frames, i, vals, d, project)
+            if failures:
+                # A failing check ends the push.
+                ((entry, decide, read, settled),) = failures
+                conflict, _ = out
+                widened = list(read)
+                widened[plan.slots[i]] = pinned_bracket(plan, i, conflict, read, d)
+                assert decide(widened, d) is settled, (entry[4].left, entry[4].right)
+                low, high = plan.end_reads[i]
+                seen["refined"] += conflict != entry[3] | low | high
+            return out
 
         def clash(plan, frames, j, vals, d):
             conflict = clash_conflict(plan, frames, j, vals, d)
@@ -1164,8 +1204,8 @@ class TestPreciseConflicts:
                         return False
                     frame, slot = frames[k], plan.slots[k]
                     bracket = pinned_bracket(plan, k, conflict, vals, d)
-                    if not frame[1] & ~conflict and not frame[2] & ~conflict:
-                        bracket = frame[3], frame[4]  # narrowing, too, is pinned
+                    if not (frame[1] | frame[5] | frame[6]) & ~conflict:
+                        bracket = frame[2], frame[3]  # narrowing, too, is pinned
                     value, vals[slot] = vals[slot], bracket
                     try:
                         return lifted_bounds_clash(pinned(plan, j, conflict | 1 << k), vals, d)
@@ -1177,6 +1217,7 @@ class TestPreciseConflicts:
             return conflict
 
         monkeypatch.setattr(search_module, "_plan_group", planned)
+        monkeypatch.setattr(search_module, "_push", pushed)
         monkeypatch.setattr(search_module, "_clash_conflict", clash)
         for _, search in itertools.chain(curated_searches((3, 4)), seeded_searches()):
             try:
