@@ -11,7 +11,8 @@ combined file (seed 1, one pass over its cells). Then it replays each call
 * ``build``: one ``_Constraint`` per axiom;
 * ``plan``: ``_prepare``, the grouping and the plan of every group;
 * ``solve``: ``_solve_at_size`` for each domain size until one solves, or
-  until the bound or the budget is reached;
+  until the bound or the budget is reached, and the told-fact closure
+  (``_refute``) once size 1 has failed;
 * ``decode``: ``_build_interpretation`` of the solved assignment.
 
 A call's time for a step is the minimum over its rounds, and a total is the
@@ -85,7 +86,7 @@ def replay(search, sem, ontology, max_size: int, budget, clock=time.perf_counter
     try:
         for size in range(1, max_size + 1):
             vals = search._solve_at_size(problem, slots, size, tracker)
-            if vals is not None:
+            if vals is not None or size == 1 < max_size and search._refute(ontology.axioms):
                 break
     except sem.BoundTooLargeError:
         t3 = clock()

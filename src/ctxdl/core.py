@@ -9,9 +9,9 @@ normalization.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Union
 
 
 class TermKind(Enum):
@@ -209,31 +209,22 @@ class Product:
     right: "ConceptExpr"
 
 
-ConceptExpr = Union[
-    Top,
-    Bottom,
-    TopCtx,
-    ConceptAtom,
-    ConceptUnion,
-    ConceptIntersection,
-    ConceptNeg,
-    Exists,
-    Forall,
-    AtMost,
-    AtLeast,
-    Nominals,
-]
+ConceptExpr = (
+    Top
+    | Bottom
+    | TopCtx
+    | ConceptAtom
+    | ConceptUnion
+    | ConceptIntersection
+    | ConceptNeg
+    | Exists
+    | Forall
+    | AtMost
+    | AtLeast
+    | Nominals
+)
 
-RoleExpr = Union[
-    RoleAtom,
-    RoleUnion,
-    RoleIntersection,
-    RoleNeg,
-    Inverse,
-    Compose,
-    Closure,
-    Product,
-]
+RoleExpr = RoleAtom | RoleUnion | RoleIntersection | RoleNeg | Inverse | Compose | Closure | Product
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +257,7 @@ class RoleAssert:
     object: Term
 
 
-Axiom = Union[ConceptSub, RoleSub, ConceptAssert, RoleAssert]
+Axiom = ConceptSub | RoleSub | ConceptAssert | RoleAssert
 
 ABOX_FORMS = (ConceptAssert, RoleAssert)
 
@@ -275,7 +266,7 @@ ABOX_FORMS = (ConceptAssert, RoleAssert)
 # The constructor table: one traversal for every structural walker
 # ---------------------------------------------------------------------------
 
-Expr = Union[ConceptExpr, RoleExpr, Axiom]
+Expr = ConceptExpr | RoleExpr | Axiom
 
 
 def _none(x: Expr) -> tuple:

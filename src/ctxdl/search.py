@@ -28,6 +28,13 @@ slots in one pass.
 
 Pruning machinery, in order of impact:
 
+* a told-fact closure (`_refute`) refutes before the search where forward
+  chaining over facts about the named individuals, plus a fresh element for
+  a conclusion inclusion assumed to fail, meets a clash: one rule row per
+  constructor, keyed like the mask rules. A clash holds at every size, so
+  `find_model` stops after size 1 has failed, and `check_entailment` drops a
+  conclusion axiom before its first candidate; the derivation rides on the
+  verdict. It only refutes: it never bounds or orders a search;
 * an inclusion whose one side is an atom that the other side does not read
   becomes a bound on that atom's component: an upper bound from the right
   side, a lower bound from the left (an assertion's point is a forced
@@ -83,14 +90,16 @@ Pruning machinery, in order of impact:
   contribute to the conflict.
 
 Verdicts are always relative to the bound; `NoModelUpTo(n)` is a complete
-claim for every domain of size <= n over the ontology's signature.
+claim for every domain of size <= n over the ontology's signature, and one
+that carries a derivation holds at every size.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Optional
 
 from .core import (
     AtLeast,
@@ -1071,7 +1080,7 @@ def _push(plan: _Plan, frames: list[list], i: int, vals: Vals, d: _Domain, proje
     conflict = None
     while checks:
         vals[slot] = (lower, upper)
-        open_checks, projectable = [], []
+        open_checks, projectable, narrowed = [], [], False
         for check in checks:
             _, decide, positive, others, con, ends = check
             settled = decide(vals, d)
@@ -1092,14 +1101,14 @@ def _push(plan: _Plan, frames: list[list], i: int, vals: Vals, d: _Domain, proje
                 lo, hi = projector(vals, d)
                 lo, hi = lo | lower, hi & upper
                 if lo != lower or hi != upper:
-                    lower, upper = lo, hi
+                    lower, upper, narrowed = lo, hi, True
                     blame |= check[3]
                     low = high = reads | blame
                     if lower & ~upper:
                         conflict = low
                         break
                     vals[slot] = (lower, upper)
-        if conflict is not None or not projectable or not blame:
+        if conflict is not None or not narrowed:
             break
         checks, project = open_checks, 0
     vals[slot] = None
@@ -1189,6 +1198,373 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
             break
         else:
             return returned
+
+
+# ---------------------------------------------------------------------------
+# Told-fact closure: refutation at every size at once
+# ---------------------------------------------------------------------------
+#
+# A told-fact pass (Baader et al. 1994; Horrocks & Patel-Schneider 1999)
+# chains forward over facts: an element is in (IN) or not in (OUT) a concept
+# node, or a pair is in or not in a role node. Elements are the named
+# individuals and, for a conclusion axiom assumed to fail, one fresh element
+# 0 for a concept inclusion or a fresh pair (0, 1) for a role inclusion. No
+# unique name assumption is made: a fact about a name holds of the element
+# the name denotes, so a derivation stays sound where two names share one.
+# A fact derived both ways is a clash, which no interpretation of any size
+# escapes. The closure only refutes: it never bounds or orders a search.
+
+IN, OUT = 1, 2
+
+
+@dataclass(frozen=True)
+class Step:
+    """One step of a told-fact refutation: `key`, an element or a pair of
+    elements, is (`member` True) or is not (False) in `expr`. An element is
+    a named individual's Term, or the fresh element 0 or 1. The step
+    follows from the earlier steps `premises` by the rule row of `expr`'s
+    constructor or of a parent's, or by `axiom`: an inclusion or assertion
+    of the input, or where `negated`, the conclusion axiom assumed to fail.
+    The last step of a refutation is its clash, with `member` None: its two
+    premises state that `key` is in and is not in `expr`."""
+
+    expr: object
+    key: object
+    member: Optional[bool]
+    premises: tuple[int, ...] = ()
+    axiom: Optional[Axiom] = None
+    negated: bool = False
+
+
+class _Clash(Exception):
+    pass
+
+
+class _Closure:
+    """The facts of one refutation attempt. Expression nodes are interned to
+    ids, bottom up, so that equal sub-expressions of different axioms share
+    their facts, and elements to their index in `elements`. A fact is
+    `(node, key, bit)`, where the key is an element's index or a pair of
+    them; `why` maps each to its premises, axiom and whether that axiom is
+    negated, in the order the facts were derived."""
+
+    def __init__(self) -> None:
+        self.ids: dict = {}
+        self.exprs: list = []
+        self.rows: list[tuple] = []
+        self.kids: list[tuple[int, ...]] = []
+        self.parents: list[list[tuple[int, int]]] = []
+        # Per node, what its inclusions send: IN of a left side to the
+        # right side, OUT of a right side to the left side.
+        self.sends: list[list[tuple[int, int, Axiom]]] = []
+        self.elements: dict = {}
+        self.facts: dict[tuple, int] = {}
+        self.why: dict[tuple, tuple] = {}
+        self.queue: list[tuple] = []
+        # The pairs IN each role node: successors and predecessors.
+        self.out: dict[tuple, dict] = {}
+        self.into: dict[tuple, dict] = {}
+
+    def node(self, e) -> int:
+        """The id of `e`. A compound node is keyed by its constructor, the
+        ids of its children and a cardinality bound, so hashing it does not
+        walk the tree below it."""
+        kids = tuple(map(self.node, children(e)))
+        key = (e.__class__, kids, e.bound if e.__class__ in (AtMost, AtLeast) else None) if kids else e
+        n = self.ids.get(key)
+        if n is None:
+            n = self.ids[key] = len(self.exprs)
+            self.exprs.append(e)
+            self.rows.append(_closure_row(e))
+            self.kids.append(kids)
+            self.parents.append([])
+            self.sends.append([])
+            for i, c in enumerate(kids):
+                self.parents[c].append((n, i))
+            if e.__class__ is Nominals:
+                for u in e.members:
+                    self.element(u)
+        return n
+
+    def element(self, x) -> int:
+        return self.elements.setdefault(x, len(self.elements))
+
+    def bits(self, n: int, key) -> int:
+        return self.facts.get((n, key), 0)
+
+    def add(self, n: int, key, bit: int, premises: tuple = (), axiom: Optional[Axiom] = None,
+            negated: bool = False) -> None:
+        old = self.facts.get((n, key), 0)
+        if old & bit:
+            return
+        self.facts[(n, key)] = old | bit
+        self.why[(n, key, bit)] = (premises, axiom, negated)
+        if old:
+            raise _Clash(n, key)
+        self.queue.append((n, key, bit))
+        if bit == IN and key.__class__ is tuple:
+            x, y = key
+            self.out.setdefault((n, x), {})[y] = None
+            self.into.setdefault((n, y), {})[x] = None
+
+    def run(self) -> None:
+        """Derive until nothing new follows; a clash raises `_Clash`."""
+        queue, rows, parents, sends = self.queue, self.rows, self.parents, self.sends
+        i = 0
+        while i < len(queue):
+            fact = n, key, bit = queue[i]
+            i += 1
+            settle = rows[n][1]
+            if settle is not None:
+                settle(self, n, key)
+            for p, k in parents[n]:
+                _, settle, lift = rows[p]
+                if settle is not None:
+                    for pkey in lift(self, p, k, key):
+                        settle(self, p, pkey)
+            for sent, target, axiom in sends[n]:
+                if sent == bit:
+                    self.add(target, key, bit, (fact,), axiom)
+
+    def steps(self, n: int, key, first: int) -> tuple[Step, ...]:
+        """The derivation of the clash at `(n, key)`, its steps numbered
+        from `first`: the facts it needs, in the order they were derived."""
+        order = {fact: i for i, fact in enumerate(self.why)}
+        needed, stack = set(), [(n, key, IN), (n, key, OUT)]
+        while stack:
+            fact = stack.pop()
+            if fact not in needed:
+                needed.add(fact)
+                stack.extend(self.why[fact][0])
+        names = list(self.elements)
+
+        def named(k):
+            return (names[k[0]], names[k[1]]) if k.__class__ is tuple else names[k]
+
+        number = {}
+        out = []
+        for fact in sorted(needed, key=order.__getitem__):
+            premises, axiom, negated = self.why[fact]
+            number[fact] = first + len(out)
+            m, k, bit = fact
+            out.append(Step(self.exprs[m], named(k), bit == IN, tuple(number[p] for p in premises), axiom, negated))
+        clash = (number[(n, key, IN)], number[(n, key, OUT)])
+        out.append(Step(self.exprs[n], named(key), None, clash))
+        return tuple(out)
+
+
+def _refute(axioms: Sequence[Axiom], negated: Optional[Axiom] = None, first: int = 0) -> tuple[Step, ...]:
+    """A told-fact derivation of a clash from `axioms`, and from `negated`
+    assumed to fail, with its steps numbered from `first`; () where the
+    closure derives none. Nothing it builds outlives the call."""
+    cl = _Closure()
+    told = []
+    for ax in axioms:
+        if ax.__class__ is ConceptAssert:
+            told.append((cl.node(ax.concept), cl.element(ax.individual), ax))
+        elif ax.__class__ is RoleAssert:
+            told.append((cl.node(ax.role), (cl.element(ax.subject), cl.element(ax.object)), ax))
+        else:
+            left, right = cl.node(ax.left), cl.node(ax.right)
+            cl.sends[left].append((IN, right, ax))
+            cl.sends[right].append((OUT, left, ax))
+    assumed = []
+    if negated.__class__ is ConceptAssert:
+        assumed.append((cl.node(negated.concept), cl.element(negated.individual), OUT))
+    elif negated.__class__ is RoleAssert:
+        assumed.append((cl.node(negated.role), (cl.element(negated.subject), cl.element(negated.object)), OUT))
+    elif negated is not None:
+        # The fresh elements 0 and 1: ints, which no Term equals.
+        key = cl.element(0) if negated.__class__ is ConceptSub else (cl.element(0), cl.element(1))
+        assumed += [(cl.node(negated.left), key, IN), (cl.node(negated.right), key, OUT)]
+    try:
+        for n, row in enumerate(cl.rows):
+            if row[0] is not None:
+                row[0](cl, n)
+        for n, key, ax in told:
+            cl.add(n, key, IN, (), ax)
+        for n, key, bit in assumed:
+            cl.add(n, key, bit, (), negated, True)
+        cl.run()
+    except _Clash as clash:
+        return cl.steps(*clash.args, first)
+    return ()
+
+
+# The rule rows. A row is `(seed, settle, lift)`, each None where the row
+# has none: `seed(cl, n)` adds the facts that node n holds for every input,
+# `settle(cl, n, key)` derives what the facts of n and of its children at
+# `key` give, and `lift(cl, n, i, key)` names the keys of n to settle again
+# when its child i gains a fact at `key`.
+
+
+def _seed_every(bit: int) -> Callable:
+    def seed(cl: _Closure, n: int) -> None:
+        for x in range(len(cl.elements)):
+            cl.add(n, x, bit)
+
+    return seed
+
+
+def _seed_members(cl: _Closure, n: int) -> None:
+    for u in cl.exprs[n].members:
+        cl.add(n, cl.elements[u], IN)
+
+
+def _same_key(cl: _Closure, n: int, i: int, key) -> tuple:
+    return (key,)
+
+
+def _gate(dominant: int) -> Callable:
+    """`settle` of ⊓ (`dominant` OUT) and ⊔ (`dominant` IN), on concepts
+    and roles alike: one child with the dominant bit gives it to the node,
+    both children with the other bit give that, the node with the other bit
+    gives it to both children, and the node with the dominant bit gives it
+    to a child whose sibling has the other bit. `or(X, bottom)` is thereby
+    X, since no element is in ⊥."""
+    other = IN + OUT - dominant
+
+    def settle(cl: _Closure, n: int, key) -> None:
+        left, right = cl.kids[n]
+        node, lbits, rbits = cl.bits(n, key), cl.bits(left, key), cl.bits(right, key)
+        if lbits & dominant:
+            cl.add(n, key, dominant, ((left, key, dominant),))
+        elif rbits & dominant:
+            cl.add(n, key, dominant, ((right, key, dominant),))
+        if lbits & rbits & other:
+            cl.add(n, key, other, ((left, key, other), (right, key, other)))
+        if node & other:
+            cl.add(left, key, other, ((n, key, other),))
+            cl.add(right, key, other, ((n, key, other),))
+        if node & dominant:
+            if lbits & other:
+                cl.add(right, key, dominant, ((n, key, dominant), (left, key, other)))
+            if rbits & other:
+                cl.add(left, key, dominant, ((n, key, dominant), (right, key, other)))
+
+    return settle
+
+
+def _settle_neg(cl: _Closure, n: int, key) -> None:
+    """¬: each bit of the node is the other bit of its child, both ways."""
+    (sub,) = cl.kids[n]
+    for source, target in ((n, sub), (sub, n)):
+        bits = cl.bits(source, key)
+        for bit in (IN, OUT):
+            if bits & bit:
+                cl.add(target, key, IN + OUT - bit, ((source, key, bit),))
+
+
+def _settle_inverse(cl: _Closure, n: int, key) -> None:
+    """inv: the node at (x, y) has the bits of its child at (y, x), both ways."""
+    (sub,) = cl.kids[n]
+    x, y = key
+    for source, skey, target, tkey in ((n, key, sub, (y, x)), (sub, (y, x), n, key)):
+        bits = cl.bits(source, skey)
+        for bit in (IN, OUT):
+            if bits & bit:
+                cl.add(target, tkey, bit, ((source, skey, bit),))
+
+
+def _restriction(universal: int, filler: int) -> tuple:
+    """The row of a restriction over the told pairs of its role: a node with
+    the bit `universal` at x gives `filler` to the filler at each successor
+    of x, and a successor with the other filler bit gives the node the other
+    bit at x. ∀R.C is (IN, IN), ≤0 R.C (IN, OUT), and ∃R.C and ≥1 R.C
+    (OUT, OUT)."""
+    other_universal, other_filler = IN + OUT - universal, IN + OUT - filler
+
+    def settle(cl: _Closure, n: int, x) -> None:
+        role, concept = cl.kids[n]
+        node = cl.bits(n, x)
+        for y in list(cl.out.get((role, x), ())):
+            edge = (role, (x, y), IN)
+            if node & universal:
+                cl.add(concept, y, filler, ((n, x, universal), edge))
+            if cl.bits(concept, y) & other_filler:
+                cl.add(n, x, other_universal, (edge, (concept, y, other_filler)))
+
+    def lift(cl: _Closure, n: int, i: int, key) -> Iterable:
+        if i == 0:
+            return (key[0],)
+        return list(cl.into.get((cl.kids[n][0], key), ()))
+
+    return None, settle, lift
+
+
+def _settle_compose(cl: _Closure, n: int, key) -> None:
+    """∘: told pairs (x, y) of the left child and (y, z) of the right one
+    give the node (x, z)."""
+    left, right = cl.kids[n]
+    x, z = key
+    for y in list(cl.out.get((left, x), ())):
+        if z in cl.out.get((right, y), ()):
+            cl.add(n, key, IN, ((left, (x, y), IN), (right, (y, z), IN)))
+            return
+
+
+def _lift_compose(cl: _Closure, n: int, i: int, key) -> list:
+    left, right = cl.kids[n]
+    if i == 0:
+        x, y = key
+        return [(x, z) for z in cl.out.get((right, y), ())]
+    y, z = key
+    return [(x, z) for x in cl.into.get((left, y), ())]
+
+
+def _settle_product(cl: _Closure, n: int, key) -> None:
+    """×: (x, y) is in the node where x is in the left child and y in the
+    right one, and a pair in the node puts its ends there."""
+    left, right = cl.kids[n]
+    x, y = key
+    if cl.bits(n, key) & IN:
+        cl.add(left, x, IN, ((n, key, IN),))
+        cl.add(right, y, IN, ((n, key, IN),))
+    if cl.bits(left, x) & cl.bits(right, y) & IN:
+        cl.add(n, key, IN, ((left, x, IN), (right, y, IN)))
+
+
+def _lift_product(cl: _Closure, n: int, i: int, key) -> list:
+    every = range(len(cl.elements))
+    return [(key, y) for y in every] if i == 0 else [(x, key) for x in every]
+
+
+_NO_RULE = (None, None, None)
+_TOP = (_seed_every(IN), None, None)
+_OR, _AND = (None, _gate(IN), _same_key), (None, _gate(OUT), _same_key)
+_NEG = (None, _settle_neg, _same_key)
+_FORALL, _AT_MOST_0, _EXISTS = _restriction(IN, IN), _restriction(IN, OUT), _restriction(OUT, OUT)
+
+# Per constructor, the maker of its row from the node, as for `_MASK_RULES`.
+_CLOSURE_RULES: dict[type, Callable] = {
+    Top: _fixed(_TOP),
+    Bottom: _fixed((_seed_every(OUT), None, None)),
+    TopCtx: _fixed(_NO_RULE),
+    ConceptAtom: _fixed(_NO_RULE),
+    ConceptUnion: _fixed(_OR),
+    ConceptIntersection: _fixed(_AND),
+    ConceptNeg: _fixed(_NEG),
+    Exists: _fixed(_EXISTS),
+    Forall: _fixed(_FORALL),
+    AtMost: lambda e: _AT_MOST_0 if e.bound == 0 else _NO_RULE,
+    AtLeast: lambda e: _TOP if e.bound == 0 else _EXISTS if e.bound == 1 else _NO_RULE,
+    Nominals: _fixed((_seed_members, None, None)),
+    RoleAtom: _fixed(_NO_RULE),
+    RoleUnion: _fixed(_OR),
+    RoleIntersection: _fixed(_AND),
+    RoleNeg: _fixed(_NEG),
+    Inverse: _fixed((None, _settle_inverse, lambda cl, n, i, key: (key[::-1],))),
+    Compose: _fixed((None, _settle_compose, _lift_compose)),
+    Closure: _fixed(_NO_RULE),
+    Product: _fixed((None, _settle_product, _lift_product)),
+}
+
+
+def _closure_row(e) -> tuple:
+    try:
+        return _CLOSURE_RULES[type(e)](e)
+    except KeyError:
+        raise TypeError(f"not an expression: {e!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -1296,7 +1672,9 @@ def find_model(ontology: Ontology, max_size: int, *, budget: Optional[int] = Non
     interpretation over the ontology's signature with at most n elements is a
     model. Deterministic: equal inputs yield the identical witness. Past
     `budget` candidates the search raises `BoundTooLargeError`; a negative
-    budget is a `ValueError`.
+    budget is a `ValueError`. Where size 1 has no model and the bound is
+    larger, the told-fact closure runs once; its refutation is returned with
+    its derivation and without a further candidate.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -1308,6 +1686,8 @@ def find_model(ontology: Ontology, max_size: int, *, budget: Optional[int] = Non
         if vals is not None:
             interp = _build_interpretation(vals, slots, n, set(ontology.signature))
             return SatisfiableAt(interp, n)
+        if n == 1 < max_size and (derivation := _refute(ontology.axioms)):
+            return NoModelUpTo(max_size, derivation)
     return NoModelUpTo(max_size)
 
 
@@ -1317,7 +1697,10 @@ def check_entailment(premise: Ontology, conclusion: Ontology, max_size: int, *, 
     Interpretations range over the union of both signatures. Complete up to
     the bound and deterministic; axioms of the conclusion that appear
     verbatim in the premise cannot be violated and are skipped. `budget` is
-    as for `find_model`.
+    as for `find_model`. Before a conclusion axiom's first candidate, the
+    told-fact closure tries to refute the premise with that axiom assumed to
+    fail; an axiom it refutes is not searched, and its derivation joins the
+    verdict's.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -1330,14 +1713,21 @@ def check_entailment(premise: Ontology, conclusion: Ontology, max_size: int, *, 
     base = [_Constraint(ax, True, slots) for ax in premise.axioms]
     # Built up front, so that `slots` holds every component a witness shows.
     negated = [_Constraint(ax, False, slots) for ax in targets]
-    problems: list[Optional[_Problem]] = [None] * len(targets)  # planned on first use
+    # Per target: None until it is first reached, then its plan, or False
+    # where the closure refutes it.
+    problems: list = [None] * len(targets)
+    derivation: tuple[Step, ...] = ()
     all_terms = set(premise.signature) | set(conclusion.signature)
     for n in range(1, max_size + 1):
         for k, target in enumerate(negated):
             if problems[k] is None:
-                problems[k] = _prepare(base + [target], slots)
+                refuted = _refute(premise.axioms, targets[k], len(derivation))
+                derivation += refuted
+                problems[k] = False if refuted else _prepare(base + [target], slots)
+            if problems[k] is False:
+                continue
             vals = _solve_at_size(problems[k], slots, n, tracker)
             if vals is not None:
                 interp = _build_interpretation(vals, slots, n, all_terms)
                 return NotEntailed(interp)
-    return NoCounterexampleUpTo(max_size)
+    return NoCounterexampleUpTo(max_size, derivation)

@@ -13,9 +13,9 @@ transformation checkers.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Mapping, Union
 
 from .core import (
     AtLeast,
@@ -168,7 +168,13 @@ class SatisfiableAt:
 
 @dataclass(frozen=True)
 class NoModelUpTo:
+    """No model of at most `bound` elements. Where the search's told-fact
+    closure refuted the input, `derivation` holds its steps
+    (`ctxdl.search.Step`), and no model exists at any size; it takes no
+    part in equality."""
+
     bound: int
+    derivation: tuple = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,10 +184,15 @@ class NotEntailed:
 
 @dataclass(frozen=True)
 class NoCounterexampleUpTo:
+    """No countermodel of at most `bound` elements. `derivation` holds the
+    steps of the told-fact refutations of the conclusion axioms that the
+    closure refuted, one clash each, as for `NoModelUpTo`."""
+
     bound: int
+    derivation: tuple = field(default=(), compare=False, repr=False)
 
 
-Verdict = Union[SatisfiableAt, NoModelUpTo, NotEntailed, NoCounterexampleUpTo]
+Verdict = SatisfiableAt | NoModelUpTo | NotEntailed | NoCounterexampleUpTo
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ families, each driven by one table keyed by `Strategy`:
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Union
 
 from .annotation import AnnotatedOntology, AnnotatedStatement, ContextualAnnotation
 from .core import (
@@ -229,7 +229,7 @@ _REIFICATIONS: dict[Strategy, Callable[[Term, Term, Term, Term], list[Axiom]]] =
 # Public entry points
 # ---------------------------------------------------------------------------
 
-AnnotatedInput = Union[AnnotatedStatement, AnnotatedOntology]
+AnnotatedInput = AnnotatedStatement | AnnotatedOntology
 
 
 def contextualize(strategy: Strategy, annotated: AnnotatedInput) -> Ontology:

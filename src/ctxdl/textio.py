@@ -25,10 +25,11 @@ with an UnprintableTermError.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Union, get_args
+from typing import get_args
 
 from .annotation import AnnotationError, ContextualAnnotation, validate_annotation
 from .core import (
@@ -144,7 +145,7 @@ class BlockKind(Enum):
     MODEL = "model"
 
 
-Payload = Union[Ontology, ContextualAnnotation, Interpretation]
+Payload = Ontology | ContextualAnnotation | Interpretation
 
 
 _PAYLOAD_TYPES = {

@@ -433,7 +433,7 @@ class TestValidateAndErrors:
         assert run(["models", files["babylon.dl"], "--bound", "9"]) == 2
 
     def test_budget_env_override(self, files, monkeypatch, capsys):
-        monkeypatch.setenv("CTXDL_BUDGET", "1")
+        monkeypatch.setenv("CTXDL_BUDGET", "0")
         code = run(["models", files["irreflexive.dl"], "--bound", "3"])
         assert code == 2
         assert "budget" in capsys.readouterr().err

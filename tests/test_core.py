@@ -1,6 +1,10 @@
+import os
 import pickle
 import random
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -231,3 +235,38 @@ def test_children_are_the_sub_expressions_in_field_order():
     assert children(c) == () and children(Nominals((Term.nc("a"),))) == ()
     with pytest.raises(TypeError):
         children(Term.nc("C"))
+
+
+REIMPORT = """
+import gc, sys, weakref
+import ctxdl.cli, ctxdl.verify
+from ctxdl.textio import parse
+
+def use():
+    (onto,) = parse("ontology o { C sub not(C) . C(a) . R(a, b) . }").ontologies()
+    ctxdl.verify.check_inconsistency_preservation(
+        ctxdl.strategies.Strategy.ND_TERMS, onto, ctxdl.verify.generate_corpus(1, 1, 2, 2)[0][1], 3)
+    ctxdl.search.find_model(onto, 3)
+
+use()
+old = weakref.ref(ctxdl.core.Term)
+for name in [n for n in sys.modules if n == "ctxdl" or n.startswith("ctxdl.")]:
+    del sys.modules[name]
+import ctxdl.cli, ctxdl.verify
+from ctxdl.textio import parse
+use()
+gc.collect()
+print("released" if old() is None else "pinned")
+"""
+
+
+def test_a_reimport_releases_the_old_copy():
+    # A benchmark set-up imports the library afresh each time. Nothing may
+    # keep an old copy's classes alive: typing's process-wide caches did,
+    # through the `Union` and `Callable` aliases, and with the classes the
+    # whole module's globals.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", REIMPORT], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+    assert done.stdout.split() == ["released"]

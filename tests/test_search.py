@@ -776,20 +776,51 @@ def _irreflexivity():
     return dict(curated_inconsistent_ontologies())["irreflexivity"]
 
 
+def search_alone(search):
+    """`search` with the told-fact closure switched off, so that the search
+    tree alone decides it."""
+    def run(b):
+        refute = search_module._refute
+        search_module._refute = lambda *args: ()
+        try:
+            return search(b)
+        finally:
+            search_module._refute = refute
+
+    return run
+
+
+def _ndterms_irreflexivity(b):
+    return find_model(_rewrite(Strategy.ND_TERMS, _irreflexivity()), 3, budget=b)
+
+
+def _ndterms_example7(b):
+    return check_entailment(*(_rewrite(Strategy.ND_TERMS, o) for o in _example7()), 3, budget=b)
+
+
+def _irreflexivity_premise(b):
+    return find_model(_irreflexivity(), 3, budget=b)
+
+
+(NARROWED_WITHOUT_BLAME,) = parse("""ontology p {
+  forall(rand(t0, t0), and(ctxtop[CX], ctxtop[CX]))(t0) .
+  closure(t0) rsub rand(t0, t0) .
+  atmost(2, closure(t0), atleast(1, t0, oneof(t0))) sub atmost(0, comp(t0, t0), forall(t0, top)) .
+  comp(t0, t0) rsub inv(t0) .
+}""").ontologies()
+
+
 # Smallest budget that decides each search; any change to the sequence of
-# candidates tried (order, pruning, backjumps) moves it.
+# candidates tried (order, pruning, backjumps) moves it. The told-fact
+# closure refutes the first three after size 1 or before any candidate;
+# "/search" pins the search tree that decides them without it.
 PINNED_SEARCHES = {
-    "ndterms-irreflexivity": (
-        lambda b: find_model(_rewrite(Strategy.ND_TERMS, _irreflexivity()), 3, budget=b),
-        271, NoModelUpTo(3),
-    ),
-    "ndterms-example7-entailment": (
-        lambda b: check_entailment(*(_rewrite(Strategy.ND_TERMS, o) for o in _example7()), 3, budget=b),
-        289, NoCounterexampleUpTo(3),
-    ),
-    "irreflexivity-premise": (
-        lambda b: find_model(_irreflexivity(), 3, budget=b), 6, NoModelUpTo(3),
-    ),
+    "ndterms-irreflexivity": (_ndterms_irreflexivity, 15, NoModelUpTo(3)),
+    "ndterms-irreflexivity/search": (search_alone(_ndterms_irreflexivity), 271, NoModelUpTo(3)),
+    "ndterms-example7-entailment": (_ndterms_example7, 0, NoCounterexampleUpTo(3)),
+    "ndterms-example7-entailment/search": (search_alone(_ndterms_example7), 289, NoCounterexampleUpTo(3)),
+    "irreflexivity-premise": (_irreflexivity_premise, 1, NoModelUpTo(3)),
+    "irreflexivity-premise/search": (search_alone(_irreflexivity_premise), 6, NoModelUpTo(3)),
     "rdf-irreflexivity": (
         lambda b: find_model(_rewrite(Strategy.RDF_REIFICATION, _irreflexivity()), 3, budget=b),
         19, None,
@@ -801,6 +832,10 @@ PINNED_SEARCHES = {
         lambda b: find_model(generate_corpus(325, 21, max_terms=5, max_axioms=6)[20][0], 3, budget=b),
         78, None,
     ),
+    # Only one-component constraints narrow role t0's bracket, so no
+    # position is blamed; the open checks are decided again on the
+    # narrowed bracket all the same (995 without that second round).
+    "narrowed-without-blame": (lambda b: find_model(NARROWED_WITHOUT_BLAME, 3, budget=b), 803, None),
 }
 
 
@@ -813,9 +848,10 @@ class TestSearchTree:
             assert isinstance(result, SatisfiableAt)
         else:
             assert result == verdict
-        with pytest.raises(BoundTooLargeError) as info:
-            search(budget - 1)
-        assert info.value.explored == budget
+        if budget:  # decided before a first candidate otherwise
+            with pytest.raises(BoundTooLargeError) as info:
+                search(budget - 1)
+            assert info.value.explored == budget
 
     def test_64_combined_contexts_within_default_recursion_limit(self):
         premise, _ = _example7()
@@ -864,7 +900,21 @@ PUNNED_STATEMENTS = {
 class TestRefutationsWithinBudget:
     """Refutations that ran out of their budget before bound clashes were
     checked first and lifted (20000 candidates), or before constraints over
-    compound shapes were projected onto the atoms under them (1000)."""
+    compound shapes were projected onto the atoms under them (1000), or
+    before the told-fact closure refuted them at every size (3M)."""
+
+    def test_curated_cells_at_bound_7(self, monkeypatch):
+        # The 12 curated ontologies and pairs under the six strategies. The
+        # search alone ran out of 3M candidates on pure-tbox under NdTerms;
+        # the closure refutes it before a first candidate.
+        monkeypatch.setattr(search_module, "DEFAULT_BUDGET", 3_000_000)
+        cells = [(name, search) for name, search in curated_searches((7,)) if "/None/" not in name]
+        assert len(cells) == 72
+        for name, search in cells:
+            verdict, tried = counted(monkeypatch, search)
+            assert verdict is not None, name
+            if name == f"ent/pure-tbox/{Strategy.ND_TERMS}/b7":
+                assert (verdict[0], tried) == (NoCounterexampleUpTo, 0)
 
     @pytest.mark.parametrize("index", sorted(PUNNED_STATEMENTS))
     def test_punned_statement_has_no_model_up_to_3(self, index):
@@ -1148,7 +1198,13 @@ class TestPreciseConflicts:
     the bracket it reads, and a lifted clash one forcing and one excluding
     producer. The conflict sets must stay sound: what they name still
     forces the failure, so the search finds the same verdicts and first
-    witnesses as with every producer blamed, and never tries more."""
+    witnesses as with every producer blamed, and never tries more. The
+    told-fact closure is switched off, so that the search tree decides
+    every refutation."""
+
+    @pytest.fixture(autouse=True)
+    def search_alone(self, monkeypatch):
+        monkeypatch.setattr(search_module, "_refute", lambda *args: ())
 
     def test_blamed_producers_still_force_the_failure(self, monkeypatch):
         plan_group, push, clash_conflict = search_module._plan_group, search_module._push, search_module._clash_conflict
