@@ -4,11 +4,14 @@
 
 Runs every cell of the benchmark's ``refute`` and ``witness`` workloads
 (seeds 1 and 2), the 72 curated cells of ``refute`` (12 ontologies or pairs
-under 6 strategies) at bound 5 with a budget of ``CURATED_BUDGET``, and
-1500 random ontologies (``find_model`` and ``check_entailment``) against
-the library in ``CHECKOUT/src``, and writes
-two files into ``OUT_DIR``. ``verdicts.jsonl`` holds one JSON line per call
-with its verdicts and serialized witnesses, or the budget it ran out of.
+under 6 strategies) at bound 5 with a budget of ``CURATED_BUDGET``,
+1500 random ontologies (``find_model`` and ``check_entailment``), and
+``find_model`` at bounds 3 and 5 with a budget of ``REWRITE_BUDGET`` on the
+NdTerms and NdFluents rewrites of the ``generate_corpus(seed, 200, 4, 5)``
+statements (seeds 0-3) that have no model at bound 3, against the library
+in ``CHECKOUT/src``, and writes two files into ``OUT_DIR``.
+``verdicts.jsonl`` holds one JSON line per call with its verdicts and
+serialized witnesses, or the budget it ran out of.
 ``counts.jsonl`` holds one JSON line per call with the number of candidates
 each of its search calls tried.
 
@@ -73,6 +76,8 @@ EDGE_ONTOLOGY = """ontology edge {
 
 # The curated cells at bound 5 decide within about 77k candidates at most.
 CURATED_BUDGET = 3_000_000
+# Of the 596 rewrite calls, one runs out of this budget at bound 5.
+REWRITE_BUDGET = 200_000
 
 
 def digest(value: object) -> str:
@@ -158,6 +163,19 @@ def main(checkout: Path, out_dir: Path) -> None:
             emit(f"random/{i}/entailment", lambda: search.check_entailment(o1, o2, 3, budget=3000))
 
         strategies, annotation = mods.strategies, mods.annotation
+
+        # The NdTerms and NdFluents rewrites of the random statements with no
+        # model at bound 3, each with its own annotation: the punned
+        # refutations that the curated cells hold only a few of.
+        for seed in range(4):
+            for index, (onto, ca) in enumerate(verify.generate_corpus(seed, 200, 4, 5)):
+                if not isinstance(search.find_model(onto, 3), sem.NoModelUpTo):
+                    continue
+                for strategy in (strategy_enum.ND_TERMS, strategy_enum.ND_FLUENTS):
+                    rewritten = strategies.contextualize(strategy, annotation.AnnotatedOntology(onto, ca))
+                    for bound in (3, 5):
+                        emit(f"rewrite/{seed}/{index:03d}/{strategy.value}/b{bound}",
+                             lambda: search.find_model(rewritten, bound, budget=REWRITE_BUDGET))
 
         def emit_rewrite(call_id, fn):
             record = {"id": call_id}

@@ -20,11 +20,10 @@ end of `left` leaves the high end of `right` (it fails). Planning is one
 compile walk per side: it builds the side's exact closure over slots and
 collects the slots the side reads, which give the constraint's components
 and the atoms it can bound; a bound reuses that closure. Interval closures
-are compiled on first use, for checked axioms and lifted bounds, and a
-projector per axiom and atom on its first projection. All follow one table
-of mask rules, one per compound constructor, and take the domain size at
-run time, so one plan serves every size. A witness is decoded from the
-slots in one pass.
+are compiled on first use, for checked axioms, and a projector per axiom
+and atom on its first projection. All follow one table of mask rules, one
+per compound constructor, and take the domain size at run time, so one plan
+serves every size. A witness is decoded from the slots in one pass.
 
 Pruning machinery, in order of impact:
 
@@ -63,25 +62,17 @@ Pruning machinery, in order of impact:
   their order, so the first witness does not move;
 * one failure rule (conflict-directed backjumping, Prosser 1993): every
   failure returns a conflict set, the positions it read, and the jump back
-  merges it into the deepest frame it names. A frame's bracket records the
-  positions that set its low end (the lower bounds' producers) and its
-  high end (the upper and excluding ones). The mask rules' monotonicity
-  flags give the polarity of an atom in an axiom, and where the atom
-  occurs one way only, a check-first failure reads one end of the bracket:
-  it blames the axiom's other components and the setters of that end.
-  Narrowing reads both ends to move either, so it makes the producers and
-  the axioms that narrowed the setters of both; an empty bracket blames
-  both ends, and an exhausted frame its conflict set and both ends.
-  Polarity is computed on a failure path only, once per axiom and slot;
-* lifting: a clash between the bounds (a forced member that is not
-  allowed) is blamed on one member that one bound forces and another
-  excludes, and re-run with the bounds under interval semantics and the
-  deepest component they read reading its own bracket. A check-first
-  failure that narrowing took part in is retried once the same way. If
-  the failure survives, that component's frame fails whole instead of
-  trying its remaining candidates: in the conflict set, the component is
-  replaced by its frame's conflict set and the setters of the ends of its
-  bracket that were read;
+  merges it into the deepest frame it names. A frame records the setters
+  of its bracket: the positions its producers read and, where narrowing
+  moved the bracket, those of the axioms that narrowed it. A clash between
+  the bounds (an empty bracket) blames the setters; a check-first failure
+  blames the axiom's other components and the setters; an exhausted frame
+  blames its conflict set and the setters;
+* retry: a check-first failure that narrowing took part in is pushed once
+  more with the deepest position it blames reading its frame's bracket. If
+  it fails again, that frame fails whole instead of trying its remaining
+  candidates: in the conflict set, the position is replaced by its frame's
+  conflict set and setters;
 * axioms are re-checked as soon as their last component is assigned, and
   interval-checked at each earlier one;
 * independent subproblems (connected components of the axiom/term graph) are
@@ -460,32 +451,6 @@ def _back_rule(e) -> Optional[Callable]:
     return None if row is None else row[2](e)
 
 
-# Which ends of an atom's bracket an end of an expression's interval reads:
-# bit 0 stands for the low end, bit 1 for the high end. The low end of an
-# expression reads the low end of an atom it is monotone in and the high end
-# of one it is antitone in; its high end reads the other two. `_FLIP` swaps
-# the two bits.
-_FLIP = (0, 2, 1, 3)
-
-
-def _polarity(e, slots: Slots, target: int) -> int:
-    """The ends of the atom at slot `target` that the low end of `e`'s
-    interval reads: bit 0 where `e` is monotone in an occurrence of the
-    atom, bit 1 where antitone, both where the atom occurs both ways; 0
-    where it does not occur. The high end reads `_FLIP` of it."""
-    read = _ATOMS.get(e.__class__)
-    if read is not None:
-        return 1 if slots.get(read(e)) == target else 0
-    row = _MASK_RULES.get(e.__class__)
-    if row is None:  # a leaf that reads no atom
-        return 0
-    out = 0
-    for child, monotone in zip(children(e), row[1]):
-        ends = _polarity(child, slots, target)
-        out |= ends if monotone else _FLIP[ends]
-    return out
-
-
 def _exact(e, slots: Slots, reads: set[int]) -> Exact:
     """The exact closure of `e`; `reads` gains the slot of each component
     it reads."""
@@ -755,28 +720,7 @@ class _Constraint:
 
         return decide
 
-    _polarities: Optional[dict] = None  # slot -> polarity in each side, filled on use
     _projectors: Optional[dict] = None  # target slot -> projector, filled on use
-
-    def polarity(self, slot: int) -> tuple[int, int]:
-        """`_polarity` of the atom at `slot` in the left and the right side,
-        computed on first use for each slot: only a failure reads it."""
-        if self._polarities is None:
-            self._polarities = {}
-        elif slot in self._polarities:
-            return self._polarities[slot]
-        out = self._polarities[slot] = (_polarity(self.left, self.slots, slot),
-                                        _polarity(self.right, self.slots, slot))
-        return out
-
-    def failure_ends(self, slot: int) -> int:
-        """The ends of the bracket at `slot` that `decide` reads when it
-        settles the axiom against its sign: a positive axiom fails on the low
-        end of the left side and the high end of the right one, and a
-        negative one holds on the other two ends."""
-        left, right = self.polarity(slot)
-        ends = left | _FLIP[right]
-        return ends if self.positive else _FLIP[ends]
 
     def projector(self, target: int) -> Optional[Callable[[Vals, _Domain], tuple[int, int]]]:
         """`project(vals, dom) -> (lo, hi)`: bounds on the atom at slot
@@ -807,36 +751,15 @@ class _Constraint:
         return project
 
 
-Bound = Callable[[Vals, _Domain], int]
-
-
 class _Producer:
-    """A constraint `con` consumed as a bound on one component once its
-    other components are assigned: the kind, "L" (forced members), "U"
-    (allowed members) or "X" (excluded members), `expr`, the side of the
-    inclusion whose value is the bound's mask, and `bound`, that side's
-    exact closure. `lifted` gives a bound that stays valid while a component
-    holds a bracket: `expr` under interval semantics, its low end for "L"
-    and "X" and its high end for "U". It is compiled on first use. A plan
-    sets `reads`, the positions the bound reads."""
+    """A constraint consumed as a bound on one component once its other
+    components are assigned: the kind, "L" (forced members), "U" (allowed
+    members) or "X" (excluded members), and `bound`, the exact closure of
+    the side of the inclusion whose value is the bound's mask."""
 
-    reads = 0
-
-    def __init__(self, kind: str, con: "_Constraint", side: int):
+    def __init__(self, kind: str, con: _Constraint, side: int):
         self.kind = kind
-        self.con = con
-        self.expr = (con.left, con.right)[side]
         self.bound = con.exact_of(side)
-
-    @cached_property
-    def lifted(self) -> Bound:
-        f, end = _interval(self.expr, self.con.slots), 1 if self.kind == "U" else 0
-        return lambda v, d: f(v, d)[end]
-
-    def ends(self, slot: int) -> int:
-        """The ends of the bracket at `slot` that `lifted` reads."""
-        left, right = self.con.polarity(slot)
-        return _FLIP[right] if self.kind == "U" else left
 
 
 def _producer(con: _Constraint, target: int) -> Optional[_Producer]:
@@ -881,15 +804,13 @@ class _Plan:
     aspects: list[str]
     # Per position, a list of entries, or one shared empty tuple for none:
     # a position's first entry gives it a list.
-    # The producers consumed at each position, and the positions read by
-    # those that set the low end of its bracket ("L") and by those that set
-    # the high end ("U" and "X").
+    # The producers consumed at each position, and the positions they read:
+    # the setters of its bracket.
     producers_at: list[Sequence[_Producer]]
-    end_reads: list[tuple[int, int]]
-    # [holds, decide, positive, positions of the constraint's other
-    # components, the constraint, the ends of the bracket its check-first
-    # failure reads (`failure_ends`), or None until one happens]
-    checks_at: list[Sequence[list]]
+    setters: list[int]
+    # (holds, decide, positive, positions of the constraint's other
+    # components, the constraint)
+    checks_at: list[Sequence[tuple[Callable, Callable, bool, int, _Constraint]]]
     # (decide, not positive, positions of the constraint's earlier components)
     watch_at: list[Sequence[tuple[Callable, bool, int]]]
 
@@ -907,7 +828,7 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
     position = {c: idx for idx, c in enumerate(order)}
 
     producers_at: list = [()] * len(order)
-    end_reads = [(0, 0)] * len(order)
+    setters = [0] * len(order)
     checks_at: list = [()] * len(order)
     watch_at: list = [()] * len(order)
     for con in constraints:
@@ -922,13 +843,11 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
             if not (entries := producers_at[i]):
                 entries = producers_at[i] = []
             entries.append(prod)
-            prod.reads = others
-            low, high = end_reads[i]
-            end_reads[i] = (low | others, high) if prod.kind == "L" else (low, high | others)
+            setters[i] |= others
         else:
             if not (entries := checks_at[i]):
                 entries = checks_at[i] = []
-            entries.append([con.holds, con.decide, con.positive, others, con, None])
+            entries.append((con.holds, con.decide, con.positive, others, con))
             # Interval-check the axiom at every earlier component; many
             # axioms are settled well before their last component. Settled
             # negatively by assigned components alone, so only those can be
@@ -941,7 +860,7 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
                     entries.append((con.decide, not con.positive, positions & ((1 << j) - 1)))
 
     aspects = [keys[c][0] for c in order]
-    return _Plan(order, aspects, producers_at, end_reads, checks_at, watch_at)
+    return _Plan(order, aspects, producers_at, setters, checks_at, watch_at)
 
 
 def _bracket(producers: list[_Producer], vals: Vals, d: _Domain, upper: int) -> tuple[int, int]:
@@ -959,77 +878,12 @@ def _bracket(producers: list[_Producer], vals: Vals, d: _Domain, upper: int) -> 
     return lower, upper
 
 
-def _end_reads(ends: int, low: int, high: int) -> int:
-    """The positions that set the ends in `ends` (bit 0 the low end, bit 1
-    the high end) of a bracket whose low end the positions `low` set and
-    whose high end the positions `high` set."""
-    return (low if ends & 1 else 0) | (high if ends & 2 else 0)
-
-
-def _fail_whole(frame: list, k: int, blame: int, ends: int) -> int:
+def _fail_whole(frame: list, k: int, blame: int) -> int:
     """The conflict set of a failure that blames `blame` and recurs with the
     deepest position it blames, k, reading `frame`'s bracket: no value at k
     can help, so frame k fails whole. In the blame, k is replaced by k's
-    accumulated conflict set and the positions that set the ends in `ends`
-    of k's bracket, those the failure read."""
-    return blame & ~(1 << k) | frame[1] | _end_reads(ends, frame[5], frame[6])
-
-
-def _clash_pairs(producers: Sequence[_Producer], masks: Sequence[int]) -> list[tuple]:
-    """The pairs of `producers` whose bounds, `masks`, clash: one forces a
-    member that the other excludes."""
-    forced, excluded = [], []
-    for prod, mask in zip(producers, masks):
-        if prod.kind == "L":
-            forced.append((prod, mask))
-        else:
-            excluded.append((prod, ~mask if prod.kind == "U" else mask))
-    return [(p, q) for p, m in forced for q, x in excluded if m & x]
-
-
-def _reads_of(producers: Sequence[_Producer]) -> int:
-    """The positions the bounds of `producers` read."""
-    out = 0
-    for prod in producers:
-        out |= prod.reads
-    return out
-
-
-def _clash_conflict(plan: _Plan, frames: list[list], j: int, vals: Vals, d: _Domain) -> int:
-    """The conflict set of a clash between the bounds of position j.
-
-    A clash is explained by one member that one producer forces and another
-    excludes: of the pairs that clash, the one whose positions form the
-    least mask is blamed, so that the jump goes as far back as it can. The
-    clash is then re-run on the lifted bounds, with the deepest position k
-    it blames reading its frame's own bracket. A pair that still clashes and
-    reads k fails frame k whole (`_fail_whole`, with the ends of k's bracket
-    that the two lifted bounds read). The least of these conflict sets is
-    returned; without one, the search backjumps to k."""
-    producers = plan.producers_at[j]
-    if len(producers) == 2:  # the one pair that can clash
-        low, high = plan.end_reads[j]
-        blame = low | high
-    else:
-        blame = min(_reads_of(pair) for pair in _clash_pairs(producers, [p.bound(vals, d) for p in producers]))
-    k = blame.bit_length() - 1
-    if k < 0 or plan.aspects[k] == IND:
-        return blame
-    frame = frames[k]
-    slot = plan.slots[k]
-    # Only a bound that reads k moves when k reads its bracket.
-    value, vals[slot] = vals[slot], (frame[2], frame[3])
-    masks = [(p.lifted if p.reads >> k & 1 else p.bound)(vals, d) for p in producers]
-    vals[slot] = value
-    for pair in _clash_pairs(producers, masks):
-        reads = _reads_of(pair)
-        if reads >> k & 1:
-            ends = 0
-            for prod in pair:
-                if prod.reads >> k & 1:
-                    ends |= prod.ends(slot)
-            blame = min(blame, _fail_whole(frame, k, reads, ends))
-    return blame
+    accumulated conflict set and the setters of its bracket."""
+    return blame & ~(1 << k) | frame[1] | frame[5]
 
 
 def _lift_position(plan: _Plan, blame: int, reads: int) -> int:
@@ -1037,61 +891,57 @@ def _lift_position(plan: _Plan, blame: int, reads: int) -> int:
     frame's bracket in a retry; -1 where it cannot be: an individual holds
     no bracket, and where the failed position's producers read it
     (`reads`), their bounds would change with it. Only a failure that
-    narrowing took part in is retried: a clash has its own lifting, and
-    retrying every check-first failure cost `refute` 7% for no fewer
-    candidates there."""
+    narrowing took part in is retried: retrying every check-first failure
+    cost `refute` 7% for no fewer candidates there."""
     k = blame.bit_length() - 1
     if plan.aspects[k] == IND or reads >> k & 1:
         return -1
     return k
 
 
-def _push(plan: _Plan, frames: list[list], i: int, vals: Vals, d: _Domain, project: int) -> list | tuple[int, int]:
+def _push(plan: _Plan, i: int, vals: Vals, d: _Domain, project: int) -> list | tuple[int, int]:
     """The frame of position i, or its failure.
 
     A frame is [its remaining candidates, its conflict set, the low and the
     high end of its bracket, the checks the bracket leaves open, the
-    positions that set the low end and those that set the high end]. A
-    failure is `(its conflict set, k)`, where k is the position to read its
-    frame's bracket in a retry (`_lift_position`) for a failure that
-    narrowing took part in, and -1 for any other.
+    setters of its bracket]. A failure is `(its conflict set, k)`, where k
+    is the position to read its frame's bracket in a retry
+    (`_lift_position`) for a failure that narrowing took part in, and -1
+    for any other.
 
-    A clash between the bounds fails as `_clash_conflict` says. Then check
-    first, over the whole bracket: a constraint settled against fails every
-    candidate, so none is tried, and blames the positions of its other
-    components and those that set the ends of the bracket it reads; one
-    settled in favour holds for every candidate, so it is not checked per
-    candidate. Then, where `project` is set, each positive constraint left
-    open narrows the bracket to the values its projector allows, and a
-    second round decides the open constraints again on the narrowed
-    bracket. Narrowing reads both ends to move either, so after it both
-    ends are set by the positions the producers read and by those of the
-    constraints that narrowed (`blame`), where the frame's conflict set
-    starts too; an empty bracket blames both ends."""
+    Every failure blames the setters: the positions the producers read,
+    and once narrowing has moved the bracket, those of the constraints
+    that narrowed it (`blame`), where the frame's conflict set starts too.
+    A clash between the bounds, an empty bracket, blames the setters
+    alone. Then check first, over the whole bracket: a constraint settled
+    against fails every candidate, so none is tried, and blames the
+    positions of its other components too; one settled in favour holds
+    for every candidate, so it is not checked per candidate. Then, where
+    `project` is set, each positive constraint left open narrows the
+    bracket to the values its projector allows, and a second round decides
+    the open constraints again on the narrowed bracket."""
     checks = open_checks = plan.checks_at[i]
     aspect = plan.aspects[i]
     if aspect == IND:  # no producer bounds an individual
-        return [iter(range(d.n)), 0, None, None, checks, 0, 0]
+        return [iter(range(d.n)), 0, None, None, checks, 0]
+    reads = setters = plan.setters[i]
     lower, upper = _bracket(plan.producers_at[i], vals, d, d.pairs if aspect == ROLE else d.full)
     if lower & ~upper:
-        return _clash_conflict(plan, frames, i, vals, d), -1
-    low, high = plan.end_reads[i]
-    slot, reads, blame = plan.slots[i], low | high, 0
+        return setters, -1
+    slot, blame = plan.slots[i], 0
     conflict = None
     while checks:
         vals[slot] = (lower, upper)
         open_checks, projectable, narrowed = [], [], False
         for check in checks:
-            _, decide, positive, others, con, ends = check
+            _, decide, positive, others, _ = check
             settled = decide(vals, d)
             if settled is None:
                 open_checks.append(check)
                 if project and positive:
                     projectable.append(check)
             elif settled is not positive:
-                if ends is None:
-                    ends = check[5] = con.failure_ends(slot)
-                conflict = others | _end_reads(ends, low, high)
+                conflict = others | setters
                 break
         else:
             for check in projectable:
@@ -1103,9 +953,9 @@ def _push(plan: _Plan, frames: list[list], i: int, vals: Vals, d: _Domain, proje
                 if lo != lower or hi != upper:
                     lower, upper, narrowed = lo, hi, True
                     blame |= check[3]
-                    low = high = reads | blame
+                    setters = reads | blame
                     if lower & ~upper:
-                        conflict = low
+                        conflict = setters
                         break
                     vals[slot] = (lower, upper)
         if conflict is not None or not narrowed:
@@ -1113,7 +963,7 @@ def _push(plan: _Plan, frames: list[list], i: int, vals: Vals, d: _Domain, proje
         checks, project = open_checks, 0
     vals[slot] = None
     if conflict is None:
-        return [_submasks(lower, upper ^ lower), blame, lower, upper, open_checks, low, high]
+        return [_submasks(lower, upper ^ lower), blame, lower, upper, open_checks, setters]
     return conflict, _lift_position(plan, conflict, reads) if blame else -1
 
 
@@ -1127,9 +977,9 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
     merges it into the frame of the deepest position it blames. A failure
     that narrowing took part in is pushed once more with the position k it
     names reading frame k's bracket; if that fails too and blames no
-    position between k and i, frame k fails whole (`_fail_whole`, reading
-    both ends). An exhausted frame blames its conflict set and the
-    positions that set the ends of its bracket."""
+    position between k and i, frame k fails whole (`_fail_whole`). An
+    exhausted frame blames its conflict set and the setters of its
+    bracket."""
     depth = len(plan.slots)
     pslots = plan.slots
     tick = budget.tick
@@ -1141,7 +991,7 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
         if i == depth:
             return None
         project = failed_at >> i & 1
-        pushed = _push(plan, frames, i, vals, d, project)
+        pushed = _push(plan, i, vals, d, project)
         returned: Optional[int] = None
         if pushed.__class__ is list:
             frames.append(pushed)
@@ -1150,10 +1000,10 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
             if k >= 0:
                 frame, slot = frames[k], pslots[k]
                 value, vals[slot] = vals[slot], (frame[2], frame[3])
-                retried = _push(plan, frames, i, vals, d, project)
+                retried = _push(plan, i, vals, d, project)
                 vals[slot] = value
                 if retried.__class__ is tuple and not retried[0] >> k + 1:
-                    returned = _fail_whole(frame, k, retried[0], 3)
+                    returned = _fail_whole(frame, k, retried[0])
             failed_at |= 1 << i
 
         # Try candidates at the top frame; pop the frames that are exhausted
@@ -1175,7 +1025,7 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
                 tick()
                 vals[slot] = value
                 failed = False
-                for holds, _, positive, others, _, _ in checks:
+                for holds, _, positive, others, _ in checks:
                     if holds(vals, d) is not positive:
                         conflict |= others
                         failed = True
@@ -1192,7 +1042,7 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
                 vals[slot] = None
                 frames.pop()
                 failed_at |= 1 << i
-                returned = conflict | frame[5] | frame[6]
+                returned = conflict | frame[5]
                 continue
             frame[1] = conflict
             break
