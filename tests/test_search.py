@@ -1037,6 +1037,187 @@ def counted(monkeypatch, search):
         sum(b.used for b in budgets)
 
 
+def seeded_searches(count):
+    """Corpus statements, and `count` random ontologies and entailment
+    pairs, at bound 3 with a budget of 3000 each."""
+    for index, (onto, _) in enumerate(generate_corpus(3, 200, max_terms=4, max_axioms=5)):
+        yield f"statement/{index}", lambda o=onto: find_model(o, 3, budget=3000)
+    rng = random.Random(99)
+    for index in range(count):
+        terms = term_pool(rng.randint(1, 3))
+        premise = Ontology([random_axiom(rng, terms, rng.randint(0, 2)) for _ in range(rng.randint(1, 4))])
+        conclusion = Ontology([random_axiom(rng, terms, rng.randint(0, 2)) for _ in range(rng.randint(1, 2))])
+        yield f"random/{index}", lambda p=premise: find_model(p, 3, budget=3000)
+        yield f"pair/{index}", lambda p=premise, c=conclusion: check_entailment(p, c, 3, budget=3000)
+
+
+def run_all(searches):
+    for _, search in searches:
+        try:
+            search()
+        except BoundTooLargeError:
+            pass
+
+
+def chronological(patch):
+    """Blame every earlier position for every failure: the search becomes
+    chronological backtracking over the same order, and no failure is
+    retried, since its producers read every position it could lift."""
+    plan_group = search_module._plan_group
+
+    def planned(*args):
+        plan = plan_group(*args)
+        before = [(1 << i) - 1 for i in range(len(plan.slots))]
+        plan.setters = before
+        plan.checks_at = [tuple(entry[:3] + (before[i],) + entry[4:] for entry in entries)
+                          for i, entries in enumerate(plan.checks_at)]
+        plan.watch_at = [tuple((decide, negative, before[j]) for decide, negative, _ in entries)
+                         for j, entries in enumerate(plan.watch_at)]
+        return plan
+
+    patch.setattr(search_module, "_plan_group", planned)
+
+
+def random_value(rng, aspect, d, bracket=None):
+    """A random value of a position of `aspect`, within `bracket` if given."""
+    if aspect == IND:
+        return rng.randrange(d.n)
+    lower, upper = bracket or (0, d.pairs if aspect == ROLE else d.full)
+    return lower | rng.getrandbits(upper.bit_length()) & upper
+
+
+class TestConflictSets:
+    """Every failure of a frame blames one mask: the other components of
+    the constraint that failed, if one did, and the setters of its bracket,
+    the positions its producers read and those of the constraints that
+    narrowed it. A clash between the bounds blames the setters alone. The
+    conflict sets must stay sound: the search finds the same verdicts and
+    first witnesses as chronological backtracking and never tries more.
+    The told-fact closure is switched off, so that the search tree decides
+    every refutation, and the curated searches get a budget of 30000:
+    chronological backtracking runs out of it on some at bound 4."""
+
+    @pytest.fixture(autouse=True)
+    def search_alone(self, monkeypatch):
+        monkeypatch.setattr(search_module, "_refute", lambda *args: ())
+        monkeypatch.setattr(search_module, "DEFAULT_BUDGET", 30_000)
+
+    def test_a_failure_blames_the_setters_and_only_earlier_positions(self, monkeypatch):
+        push = search_module._push
+        failures = 0
+
+        def pushed(plan, i, vals, d, project):
+            nonlocal failures
+            out = push(plan, i, vals, d, project)
+            if out.__class__ is tuple:
+                conflict, k = out
+                setters = plan.setters[i]
+                assert conflict & setters == setters and not conflict >> i, (i, conflict, setters)
+                assert k == -1 or conflict >> k & 1 and plan.aspects[k] != IND
+                failures += 1
+            return out
+
+        monkeypatch.setattr(search_module, "_push", pushed)
+        run_all(itertools.chain(curated_searches((3,)), seeded_searches(300)))
+        assert failures > 20000, failures
+
+    def test_a_clash_blames_the_setters_alone(self, monkeypatch):
+        push = search_module._push
+        clashes = 0
+
+        def pushed(plan, i, vals, d, project):
+            nonlocal clashes
+            out = push(plan, i, vals, d, project)
+            if plan.aspects[i] != IND:
+                full = d.pairs if plan.aspects[i] == ROLE else d.full
+                lower, upper = search_module._bracket(plan.producers_at[i], vals, d, full)
+                if lower & ~upper:
+                    assert out == (plan.setters[i], -1)
+                    clashes += 1
+            return out
+
+        monkeypatch.setattr(search_module, "_push", pushed)
+        run_all(itertools.chain(curated_searches((3,)), seeded_searches(300)))
+        assert clashes > 20000, clashes
+
+    def test_a_failure_holds_on_every_assignment_that_agrees_on_its_conflict_set(self, monkeypatch):
+        # For one failure in four, redraw the positions outside the
+        # conflict set, and those in it that a retry reads as a bracket
+        # within that bracket: still no value at the failing position
+        # satisfies the constraints whose last component it is.
+        plan_group, push = search_module._plan_group, search_module._push
+        constraints_at = {}
+        rng = random.Random(43)
+        checked = {"failures": 0, "retried": 0}
+
+        def planned(comps, constraints, keys):
+            plan = plan_group(comps, constraints, keys)
+            position = {slot: p for p, slot in enumerate(plan.slots)}
+            at = [[] for _ in plan.slots]
+            for con in constraints:
+                at[max(position[c] for c in con.comps)].append(con)
+            constraints_at[id(plan)] = plan, at
+            return plan
+
+        def pushed(plan, i, vals, d, project):
+            out = push(plan, i, vals, d, project)
+            if out.__class__ is list or d.n > 3 or rng.random() >= 0.25:
+                return out
+            conflict = out[0]
+            aspects, slots = plan.aspects, plan.slots
+            saved = list(vals)
+            retried = False
+            for p in range(i):
+                value = vals[slots[p]]
+                if value.__class__ is tuple:
+                    retried = True
+                    vals[slots[p]] = random_value(rng, aspects[p], d, value)
+                elif not conflict >> p & 1:
+                    vals[slots[p]] = random_value(rng, aspects[p], d)
+            full = range(d.n) if aspects[i] == IND else range((d.pairs if aspects[i] == ROLE else d.full) + 1)
+            try:
+                for value in full:
+                    vals[slots[i]] = value
+                    assert any(con.holds(vals, d) is not con.positive for con in constraints_at[id(plan)][1][i]), \
+                        (i, conflict, value)
+            finally:
+                vals[:] = saved
+            checked["failures"] += 1
+            checked["retried"] += retried
+            return out
+
+        monkeypatch.setattr(search_module, "_plan_group", planned)
+        monkeypatch.setattr(search_module, "_push", pushed)
+        run_all(itertools.chain(curated_searches((3,)), seeded_searches(300), (
+            (entry, lambda o=onto: find_model(o, 3, budget=3000))
+            for entry, onto in zip(RETRIED_STATEMENTS, retried_ontologies()))))
+        assert checked["failures"] > 5000 and checked["retried"] > 40, checked
+
+    def test_same_verdicts_and_first_witnesses_as_chronological_backtracking(self, monkeypatch):
+        searches = list(itertools.chain(curated_searches((3,)), seeded_searches(300)))
+        directed = [counted(monkeypatch, search)[0] for _, search in searches]
+        with monkeypatch.context() as patch:
+            chronological(patch)
+            plain = [counted(monkeypatch, search)[0] for _, search in searches]
+        decided = 0
+        for (name, _), verdict, plain_verdict in zip(searches, directed, plain):
+            assert plain_verdict is None or verdict == plain_verdict, name
+            decided += plain_verdict is not None
+        assert decided > 800, decided
+
+    def test_no_more_candidates_than_chronological_backtracking(self, monkeypatch):
+        searches = list(itertools.chain(curated_searches((3, 4)), seeded_searches(300)))
+        directed = [counted(monkeypatch, search)[1] for _, search in searches]
+        with monkeypatch.context() as patch:
+            chronological(patch)
+            plain = [counted(monkeypatch, search)[1] for _, search in searches]
+        fewer = 0
+        for (name, _), tried, plain_tried in zip(searches, directed, plain):
+            assert tried <= plain_tried, (name, tried, plain_tried)
+            fewer += tried < plain_tried
+        assert fewer > 50, fewer
+
+
 @pytest.mark.parametrize("search", [
     lambda b: find_model(Ontology([]), 1, budget=b),
     lambda b: check_entailment(Ontology([]), Ontology([]), 1, budget=b),
