@@ -8,8 +8,9 @@ fails (exit 1) when
 * the two sides do not fingerprint the same calls, in the same order;
 * a verdict or witness differs on a call that both sides decide, that is,
   where neither side ran out of budget;
-* a call's candidate count rises: the total over its search calls, or the
-  count of any one search call.
+* a call's two sides made different numbers of search calls;
+* a call's candidate count rises: the total over its search calls, or, where
+  both sides made the same search calls, the count of any one of them.
 
 A call that only the new side decides, or whose count falls, is allowed and
 counted in the summary, which also lists the first calls that only the new
@@ -38,7 +39,7 @@ def load(path: Path) -> dict[str, dict]:
 
 
 def rises(old: list[int], new: list[int]) -> bool:
-    return sum(new) > sum(old) or any(b > a for a, b in zip(old, new))
+    return sum(new) > sum(old) or len(old) == len(new) and any(b > a for a, b in zip(old, new))
 
 
 def compare(old_dir: Path, new_dir: Path) -> list[str]:
@@ -67,21 +68,28 @@ def compare(old_dir: Path, new_dir: Path) -> list[str]:
             newly.append(f"{call_id}: budget {old['budget_out']} -> {verdict}")
 
     fell: list[str] = []
-    same = 0
+    same = rose = reshaped = 0
     for call_id, old in old_counts.items():
         old_ticks, new_ticks = old["ticks"], new_counts[call_id]["ticks"]
+        if len(new_ticks) != len(old_ticks):
+            reshaped += 1
+            failures.append(f"{call_id}: {len(old_ticks)} -> {len(new_ticks)} search calls, "
+                            f"{old_ticks} -> {new_ticks}")
         if rises(old_ticks, new_ticks):
+            rose += 1
             failures.append(f"{call_id}: count rises, {old_ticks} -> {new_ticks}")
         elif new_ticks == old_ticks:
             same += 1
-        else:
+        elif len(new_ticks) == len(old_ticks):
             fell.append(f"{call_id}: {sum(old_ticks)} -> {sum(new_ticks)}")
 
     print(f"{len(old_verdicts)} lines, {len(old_counts)} counted calls")
     print("decided by " + ", ".join(f"{who}: {n}" for who, n in decided.items()))
     listed(newly, "new only")
-    print(f"counts: {len(fell)} fell, {same} unchanged, {len(old_counts) - len(fell) - same} rose")
+    print(f"counts: {len(fell)} fell, {same} unchanged, {rose} rose")
     listed(fell, "fell")
+    if reshaped:
+        print(f"search calls differ in number on {reshaped} calls")
     return failures
 
 

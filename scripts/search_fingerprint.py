@@ -13,7 +13,11 @@ in ``CHECKOUT/src``, and writes two files into ``OUT_DIR``.
 ``verdicts.jsonl`` holds one JSON line per call with its verdicts and
 serialized witnesses, or the budget it ran out of.
 ``counts.jsonl`` holds one JSON line per call with the number of candidates
-each of its search calls tried.
+each of its search calls tried. The property checkers remember a premise
+search that found no model (``ctxdl.verify``). The script empties that
+premise memo before each call, so that each call runs and counts all of its
+search calls, as it would at a checkout without the memo; such a checkout is
+fingerprinted as it is.
 
 It then writes one line per rewrite: ``contextualize`` under every strategy
 of each statement of the ``witness`` corpus (seeds 1 and 2, with that seed's
@@ -118,8 +122,11 @@ def main(checkout: Path, out_dir: Path) -> None:
     with (out_dir / "verdicts.jsonl").open("w", encoding="utf-8") as out, \
             (out_dir / "counts.jsonl").open("w", encoding="utf-8") as counts:
 
+        premises = getattr(mods.verify, "_PREMISES", {})
+
         def emit(call_id, fn):
             budgets.clear()
+            premises.clear()
             record = {"id": call_id}
             try:
                 result = fn()

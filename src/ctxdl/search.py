@@ -1550,7 +1550,7 @@ def check_entailment(premise: Ontology, conclusion: Ontology, max_size: int, *, 
     as for `find_model`. Before a conclusion axiom's first candidate, the
     told-fact closure tries to refute the premise with that axiom assumed to
     fail; an axiom it refutes is not searched, and its derivation joins the
-    verdict's.
+    verdict's. Nothing is compiled before the first axiom it leaves.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -1560,20 +1560,25 @@ def check_entailment(premise: Ontology, conclusion: Ontology, max_size: int, *, 
     if not targets:
         return NoCounterexampleUpTo(max_size)
     slots: Slots = {}
-    base = [_Constraint(ax, True, slots) for ax in premise.axioms]
-    # Built up front, so that `slots` holds every component a witness shows.
-    negated = [_Constraint(ax, False, slots) for ax in targets]
+    base: list[_Constraint] = []
+    negated: list[_Constraint] = []
     # Per target: None until it is first reached, then its plan, or False
     # where the closure refutes it.
     problems: list = [None] * len(targets)
     derivation: tuple[Step, ...] = ()
     all_terms = set(premise.signature) | set(conclusion.signature)
     for n in range(1, max_size + 1):
-        for k, target in enumerate(negated):
+        for k, target in enumerate(targets):
             if problems[k] is None:
-                refuted = _refute(premise.axioms, targets[k], len(derivation))
+                refuted = _refute(premise.axioms, target, len(derivation))
                 derivation += refuted
-                problems[k] = False if refuted else _prepare(base + [target], slots)
+                if not refuted and not negated:
+                    # Both lists at once, premise first, so that `slots`
+                    # numbers every component a witness shows as it would
+                    # had nothing been refuted.
+                    base = [_Constraint(ax, True, slots) for ax in premise.axioms]
+                    negated = [_Constraint(ax, False, slots) for ax in targets]
+                problems[k] = False if refuted else _prepare(base + [negated[k]], slots)
             if problems[k] is False:
                 continue
             vals = _solve_at_size(problems[k], slots, n, tracker)

@@ -8,11 +8,22 @@ claim. Violated outcomes always carry a replayable witness inside the
 conclusion verdict. The optional `budget` of each checker is the candidate
 budget of every search call it makes (see `find_model`); a search that
 exceeds it raises `BoundTooLargeError`.
+
+The premise verdict belongs to the original statement, so it is the same
+under every strategy. The checkers remember a premise search that found no
+model: a `NoModelUpTo`, a `NoCounterexampleUpTo` with its derivation, or a
+budget-out, which is raised again as a new `BoundTooLargeError` with the
+same figures. An entry is keyed by the premise ontology (by content), the
+conclusion's axioms (or None for a model search), the bound and the budget,
+and it lives as long as the premise ontology it was made for. A premise
+with a model is searched again each time, so the memo holds no
+interpretation. Searches of the rewritten ontologies are never remembered.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -45,7 +56,9 @@ from .core import (
 )
 from .search import check_entailment, find_model
 from .semantics import (
+    BoundTooLargeError,
     Interpretation,
+    NoCounterexampleUpTo,
     NoModelUpTo,
     NotEntailed,
     SatisfiableAt,
@@ -106,6 +119,34 @@ class ExtensibilityProbe:
 # Property checkers
 # ---------------------------------------------------------------------------
 
+# Premise -> {(conclusion axioms or None, bound, budget): a verdict with no
+# model, or the (explored, budget) of a budget-out}. The conclusion enters
+# the key by its axioms, which decide a refutation: keyed by the ontology, an
+# entailment of a premise by itself would keep its own entry alive.
+_PREMISES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _premise_verdict(premise: Ontology, conclusion: Optional[Ontology], bound: int, budget: Optional[int]):
+    """`find_model(premise, ...)`, or `check_entailment(premise, conclusion,
+    ...)`, remembered where it finds no model (see the module docstring)."""
+    key = (None if conclusion is None else conclusion.axioms, bound, budget)
+    known = _PREMISES.get(premise, {}).get(key)
+    if isinstance(known, tuple):
+        raise BoundTooLargeError(*known)
+    if known is not None:
+        return known
+    try:
+        if conclusion is None:
+            verdict = find_model(premise, bound, budget=budget)
+        else:
+            verdict = check_entailment(premise, conclusion, bound, budget=budget)
+    except BoundTooLargeError as exc:
+        _PREMISES.setdefault(premise, {})[key] = (exc.explored, exc.budget)
+        raise
+    if isinstance(verdict, (NoModelUpTo, NoCounterexampleUpTo)):
+        _PREMISES.setdefault(premise, {})[key] = verdict
+    return verdict
+
 
 def check_soundness(
     strategy: Strategy,
@@ -119,10 +160,13 @@ def check_soundness(
 
     The output ontology is searched with slack on top of the bound: the
     witness domains of the two premises may end up side by side in a model
-    of the contextualization, so their sizes are added to the bound.
+    of the contextualization, so their sizes are added to the bound. A
+    premise search of the statement or of the annotation that found no
+    model at this bound and budget, or ran out of the budget, is not run
+    again while the premise ontology lives.
     """
-    v_onto = find_model(ontology, bound, budget=budget)
-    v_ca = find_model(ca.as_ontology(), bound, budget=budget)
+    v_onto = _premise_verdict(ontology, None, bound, budget)
+    v_ca = _premise_verdict(ca.as_ontology(), None, bound, budget)
     premises = (v_onto, v_ca)
     if isinstance(v_onto, NoModelUpTo) or isinstance(v_ca, NoModelUpTo):
         return PropertyReport(Property.SOUNDNESS, premises, None, Outcome.INCONCLUSIVE_AT_BOUND, bound)
@@ -141,8 +185,13 @@ def check_inconsistency_preservation(
     *,
     budget: Optional[int] = None,
 ) -> PropertyReport:
-    """An inconsistent statement ontology must stay inconsistent."""
-    v_onto = find_model(ontology, bound, budget=budget)
+    """An inconsistent statement ontology must stay inconsistent.
+
+    The statement's `NoModelUpTo`, or its budget-out, at this bound and
+    budget is remembered while the statement ontology lives, so the other
+    strategies do not search it again.
+    """
+    v_onto = _premise_verdict(ontology, None, bound, budget)
     if isinstance(v_onto, SatisfiableAt):
         return PropertyReport(
             Property.INCONSISTENCY_PRESERVATION, (v_onto,), None, Outcome.INCONCLUSIVE_AT_BOUND, bound
@@ -162,8 +211,14 @@ def check_entailment_preservation(
     *,
     budget: Optional[int] = None,
 ) -> PropertyReport:
-    """A bounded entailment between the originals must survive the rewrite."""
-    pre = check_entailment(premise, conclusion, bound, budget=budget)
+    """A bounded entailment between the originals must survive the rewrite.
+
+    The originals' `NoCounterexampleUpTo`, or their budget-out, at this
+    bound and budget is remembered while the premise ontology lives, keyed
+    also by the conclusion's axioms, so the other strategies do not search
+    it again.
+    """
+    pre = _premise_verdict(premise, conclusion, bound, budget)
     if isinstance(pre, NotEntailed):
         raise PremiseNotEntailedError("premise entailment fails at the bound; nothing to preserve")
     f_premise = contextualize(strategy, AnnotatedOntology(premise, ca))

@@ -113,6 +113,25 @@ def test_rising_count_fails(tmp_path, capsys, ticks):
     assert "count rises" in out
 
 
+@pytest.mark.parametrize("ticks", [[13], [9], [2, 2, 9]])
+def test_different_numbers_of_search_calls_fail(tmp_path, capsys, ticks):
+    # The total does not rise, and no search call is compared with another.
+    code, out = run(tmp_path, changed(2, ticks=ticks), capsys)
+    assert code == 1
+    assert f"FAIL witness/1/c: 2 -> {len(ticks)} search calls, [4, 9] -> {ticks}\n" in out
+    assert "count rises" not in out
+    assert "counts: 0 fell, 2 unchanged, 0 rose\n" in out
+    assert out.endswith("search calls differ in number on 1 calls\nFAIL witness/1/c: "
+                        f"2 -> {len(ticks)} search calls, [4, 9] -> {ticks}\n")
+
+
+def test_more_search_calls_with_a_higher_total_fail_twice(tmp_path, capsys):
+    code, out = run(tmp_path, changed(2, ticks=[4, 9, 1]), capsys)
+    assert code == 1
+    assert "FAIL witness/1/c: 2 -> 3 search calls, [4, 9] -> [4, 9, 1]\n" in out
+    assert "FAIL witness/1/c: count rises, [4, 9] -> [4, 9, 1]\n" in out
+
+
 def test_call_that_runs_out_of_budget_only_on_the_new_side_fails(tmp_path, capsys):
     # Both sides search with one budget, so losing a decided call raises its count.
     code, out = run(tmp_path, changed(0, {"id": "refute/1/a", "budget_out": 20000}, [20001]), capsys)
