@@ -17,12 +17,14 @@ the singleton of its individual or of its pair. So an axiom holds when
 `left & ~right` is empty, and is settled under a partial assignment when the
 high end of `left` lies inside the low end of `right` (it holds) or the low
 end of `left` leaves the high end of `right` (it fails). Planning is one
-compile walk per side: it builds the side's exact closure over slots and
+compile walk per side: it builds the side's interval closure over slots and
 collects the slots the side reads, which give the constraint's components
-and the atoms it can bound; a bound reuses that closure. Interval closures
-are compiled on first use, for checked axioms, and a projector per axiom
-and atom on its first projection. All follow one table of mask rules, one
-per compound constructor, and take the domain size at run time, so one plan
+and the atoms it can bound. That one closure serves everywhere: under a
+total assignment its interval is the exact value `(v, v)`, so the check of
+a candidate is the same `decide` as the check of a bracket, and a bound
+reads the low end of its side. A projector per axiom and atom is compiled
+on its first projection. Both follow one table of mask rules, one per
+compound constructor, and take the domain size at run time, so one plan
 serves every size. A witness is decoded from the slots in one pass.
 
 Pruning machinery, in order of impact:
@@ -392,17 +394,18 @@ def _decode_pairs(mask: int, n: int) -> frozenset[tuple[int, int]]:
 # Expression compilation
 # ---------------------------------------------------------------------------
 #
-# An exact closure `f(vals, dom) -> mask` reads components that are all
-# assigned. An interval closure `f(vals, dom) -> (lo, hi)` works under a
-# partial assignment: lo is contained in the value under every completion,
-# hi contains it, and unassigned atoms contribute (empty, everything). A
+# An interval closure `f(vals, dom) -> (lo, hi)` works under a partial
+# assignment: lo is contained in the value under every completion, hi
+# contains it, and unassigned atoms contribute (empty, everything). A
 # component may also hold a bracket `(lo, hi)` instead of a value: its atom
 # then reads that bracket, and the result covers every completion whose
 # value lies between the two. This decides many axioms long before all
 # their components are assigned, which is what keeps single wide axioms
-# from forcing full enumeration.
+# from forcing full enumeration. Where every component it reads holds a
+# value, the result is exact: `lo == hi`, the value itself, and each
+# operation runs once (HC4-revise's degenerate interval, Benhamou et al.
+# 1999). The search has no other evaluator.
 
-Exact = Callable[[Vals, _Domain], int]
 Interval = Callable[[Vals, _Domain], tuple[int, int]]
 
 
@@ -451,50 +454,13 @@ def _back_rule(e) -> Optional[Callable]:
     return None if row is None else row[2](e)
 
 
-def _exact(e, slots: Slots, reads: set[int]) -> Exact:
-    """The exact closure of `e`; `reads` gains the slot of each component
+def _interval(e, slots: Slots, reads: set[int]) -> Interval:
+    """The interval closure of `e`; `reads` gains the slot of each component
     it reads."""
     read = _ATOMS.get(e.__class__)
     if read is not None:
-        s = _slot(slots, read(e))
-        reads.add(s)
-        return lambda v, d: v[s]
-    if isinstance(e, Top):
-        return lambda v, d: d.full
-    if isinstance(e, Bottom):
-        return lambda v, d: 0
-    if isinstance(e, Nominals):
-        members = [_slot(slots, (IND, u)) for u in e.members]
-        reads.update(members)
-
-        def nominals(v, d):
-            out = 0
-            for s in members:
-                out |= 1 << v[s]
-            return out
-
-        return nominals
-    if e.__class__ is tuple:  # an assertion's point
-        s = _slot(slots, (IND, e[0]))
-        reads.add(s)
-        if len(e) == 1:
-            return lambda v, d: 1 << v[s]
-        o = _slot(slots, (IND, e[1]))
-        reads.add(o)
-        return lambda v, d: 1 << v[s] * d.n + v[o]
-    op, _ = _mask_rule(e)
-    fs = [_exact(c, slots, reads) for c in children(e)]
-    if len(fs) == 1:
-        (f,) = fs
-        return lambda v, d: op(f(v, d), d)
-    f, g = fs
-    return lambda v, d: op(f(v, d), g(v, d), d)
-
-
-def _interval(e, slots: Slots) -> Interval:
-    read = _ATOMS.get(e.__class__)
-    if read is not None:
         s, role = _slot(slots, read(e)), e.__class__ is RoleAtom
+        reads.add(s)
 
         def atom(v, d):
             val = v[s]
@@ -511,6 +477,7 @@ def _interval(e, slots: Slots) -> Interval:
         return lambda v, d: (0, 0)
     if isinstance(e, Nominals):
         members = [_slot(slots, (IND, u)) for u in e.members]
+        reads.update(members)
 
         def nominals(v, d):
             lo, complete = 0, True
@@ -525,6 +492,7 @@ def _interval(e, slots: Slots) -> Interval:
         return nominals
     if e.__class__ is tuple:  # an assertion's point: open while an individual is unassigned
         s = _slot(slots, (IND, e[0]))
+        reads.add(s)
         if len(e) == 1:
 
             def point(v, d):
@@ -535,6 +503,7 @@ def _interval(e, slots: Slots) -> Interval:
 
             return point
         o = _slot(slots, (IND, e[1]))
+        reads.add(o)
 
         def pair(v, d):
             x, y = v[s], v[o]
@@ -549,7 +518,7 @@ def _interval(e, slots: Slots) -> Interval:
     # antitone. Where every child is exact, so is the result, and the
     # operation runs once.
     op, monotone = _mask_rule(e)
-    fs = [_interval(c, slots) for c in children(e)]
+    fs = [_interval(c, slots, reads) for c in children(e)]
     if len(fs) == 1:
         (f,) = fs
         i = 0 if monotone[0] else 1
@@ -599,7 +568,7 @@ def _projector(e, slots: Slots, target: int) -> Optional[Projector]:
     ps = [_projector(c, slots, target) for c in kids]
     if not any(ps):
         return None
-    fs = [_interval(c, slots) for c in kids]
+    fs = [_interval(c, slots, set()) for c in kids]
     if len(fs) == 1:
         (f,), (p,) = fs, ps
 
@@ -637,10 +606,10 @@ def _projector(e, slots: Slots, target: int) -> Optional[Projector]:
 
 def _inclusion(ax: Axiom) -> tuple:
     """The axiom read as an inclusion `(left, right)`. An assertion's left
-    side is its point, the tuple of its individuals, which `_exact` and
-    `_interval` compile as a leaf. The domain and range shapes `∃R.⊤ ⊑ D`
-    and `⊤ ⊑ ∀R.C` of an atomic role R are read as `R ⊑ D×⊤` and
-    `R ⊑ ⊤×C`, so R is bounded like an atom on the left of any inclusion."""
+    side is its point, the tuple of its individuals, which `_interval`
+    compiles as a leaf. The domain and range shapes `∃R.⊤ ⊑ D` and
+    `⊤ ⊑ ∀R.C` of an atomic role R are read as `R ⊑ D×⊤` and `R ⊑ ⊤×C`,
+    so R is bounded like an atom on the left of any inclusion."""
     if isinstance(ax, ConceptAssert):
         return (ax.individual,), ax.concept
     if isinstance(ax, RoleAssert):
@@ -655,32 +624,21 @@ def _inclusion(ax: Axiom) -> tuple:
     return left, right
 
 
-def _side(e, slots: Slots, reads: set[int]) -> Optional[Exact]:
-    """`_exact(e, slots, reads)`, but None for an atom: most atom sides are
-    where a bound goes and are never evaluated, so `_Constraint.exact_of`
-    builds theirs on use."""
-    read = _ATOMS.get(e.__class__)
-    if read is None:
-        return _exact(e, slots, reads)
-    reads.add(_slot(slots, read(e)))
-    return None
-
-
 class _Constraint:
     """An axiom required to hold (positive) or to fail, read as the inclusion
-    `left ⊑ right`, each side compiled to `exact` in the walk that collects
-    the slots it reads. `comps` holds the slots of both sides. `upper` is
-    the slot of an atom on the left that the right side does not read, and
-    `lower` that of an atom on the right that the left side does not read
-    (for a negative constraint, only against a point), or None: the atoms
-    `_producer` can bound."""
+    `left ⊑ right`, each side compiled to its interval closure in the walk
+    that collects the slots it reads. `comps` holds the slots of both sides.
+    `upper` is the slot of an atom on the left that the right side does not
+    read, and `lower` that of an atom on the right that the left side does
+    not read (for a negative constraint, only against a point), or None:
+    the atoms `_producer` can bound."""
 
     def __init__(self, axiom: Axiom, positive: bool, slots: Slots):
         self.positive = positive
         self.left, self.right = left, right = _inclusion(axiom)
         self.slots = slots
         left_reads, right_reads = set(), set()
-        self.exact = _side(left, slots, left_reads), _side(right, slots, right_reads)
+        self.intervals = _interval(left, slots, left_reads), _interval(right, slots, right_reads)
         self.comps = tuple(left_reads | right_reads)
         # An atom side reads one slot, so the other side reads it only
         # where the two sides share a slot.
@@ -689,25 +647,12 @@ class _Constraint:
         point = left.__class__ is tuple
         self.lower = min(right_reads) if apart and (positive or point) and right.__class__ in _ATOMS else None
 
-    def exact_of(self, side: int) -> Exact:
-        """The exact closure of the left (0) or right (1) side."""
-        return self.exact[side] or _exact((self.left, self.right)[side], self.slots, set())
-
-    @cached_property
-    def holds(self) -> Callable[[Vals, _Domain], bool]:
-        """Whether the axiom holds under a total assignment of its components."""
-        f, g = self.exact_of(0), self.exact_of(1)
-        return lambda v, d: not f(v, d) & ~g(v, d)
-
-    @cached_property
-    def intervals(self) -> tuple[Interval, Interval]:
-        """The interval closures of the left and right sides."""
-        return _interval(self.left, self.slots), _interval(self.right, self.slots)
-
     @cached_property
     def decide(self) -> Callable[[Vals, _Domain], Optional[bool]]:
         """True / False when the axiom is settled under every completion of
-        the partial assignment; None when still open."""
+        the partial assignment; None when still open. Under a total
+        assignment of its components it is never None: it says whether the
+        axiom holds."""
         f, g = self.intervals
 
         def decide(v, d):
@@ -754,12 +699,15 @@ class _Constraint:
 class _Producer:
     """A constraint consumed as a bound on one component once its other
     components are assigned: the kind, "L" (forced members), "U" (allowed
-    members) or "X" (excluded members), and `bound`, the exact closure of
-    the side of the inclusion whose value is the bound's mask."""
+    members) or "X" (excluded members), and `bound`, the interval closure of
+    the side of the inclusion whose value is the bound's mask. That side
+    reads only earlier positions, which always hold values when it is read
+    (`_lift_position` never lifts a position the producers read), so its
+    interval is exact and `_bracket` takes its low end."""
 
     def __init__(self, kind: str, con: _Constraint, side: int):
         self.kind = kind
-        self.bound = con.exact_of(side)
+        self.bound = con.intervals[side]
 
 
 def _producer(con: _Constraint, target: int) -> Optional[_Producer]:
@@ -808,9 +756,10 @@ class _Plan:
     # the setters of its bracket.
     producers_at: list[Sequence[_Producer]]
     setters: list[int]
-    # (holds, decide, positive, positions of the constraint's other
-    # components, the constraint)
-    checks_at: list[Sequence[tuple[Callable, Callable, bool, int, _Constraint]]]
+    # (decide, positive, positions of the constraint's other components,
+    # the constraint): `decide` reads the bracket in check first and is
+    # exact on each candidate.
+    checks_at: list[Sequence[tuple[Callable, bool, int, _Constraint]]]
     # (decide, not positive, positions of the constraint's earlier components)
     watch_at: list[Sequence[tuple[Callable, bool, int]]]
 
@@ -847,7 +796,7 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
         else:
             if not (entries := checks_at[i]):
                 entries = checks_at[i] = []
-            entries.append((con.holds, con.decide, con.positive, others, con))
+            entries.append((con.decide, con.positive, others, con))
             # Interval-check the axiom at every earlier component; many
             # axioms are settled well before their last component. Settled
             # negatively by assigned components alone, so only those can be
@@ -867,7 +816,7 @@ def _bracket(producers: list[_Producer], vals: Vals, d: _Domain, upper: int) -> 
     """The `(lower, upper)` bounds the producers put on one component."""
     lower = 0
     for prod in producers:
-        mask = prod.bound(vals, d)
+        mask = prod.bound(vals, d)[0]
         kind = prod.kind
         if kind == "L":
             lower |= mask
@@ -934,7 +883,7 @@ def _push(plan: _Plan, i: int, vals: Vals, d: _Domain, project: int) -> list | t
         vals[slot] = (lower, upper)
         open_checks, projectable, narrowed = [], [], False
         for check in checks:
-            _, decide, positive, others, _ = check
+            decide, positive, others, _ = check
             settled = decide(vals, d)
             if settled is None:
                 open_checks.append(check)
@@ -945,14 +894,14 @@ def _push(plan: _Plan, i: int, vals: Vals, d: _Domain, project: int) -> list | t
                 break
         else:
             for check in projectable:
-                projector = check[4].projector(slot)
+                projector = check[3].projector(slot)
                 if projector is None:
                     continue
                 lo, hi = projector(vals, d)
                 lo, hi = lo | lower, hi & upper
                 if lo != lower or hi != upper:
                     lower, upper, narrowed = lo, hi, True
-                    blame |= check[3]
+                    blame |= check[2]
                     setters = reads | blame
                     if lower & ~upper:
                         conflict = setters
@@ -1025,8 +974,8 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
                 tick()
                 vals[slot] = value
                 failed = False
-                for holds, _, positive, others, _ in checks:
-                    if holds(vals, d) is not positive:
+                for decide, positive, others, _ in checks:
+                    if decide(vals, d) is not positive:
                         conflict |= others
                         failed = True
                         break
@@ -1482,7 +1431,7 @@ def _solve_at_size(problem: _Problem, slots: Slots, n: int, budget: _Budget) -> 
     d = _Domain(n)
     vals: Vals = [None] * len(slots)
     for con in problem.ground:
-        if con.holds(vals, d) is not con.positive:
+        if con.decide(vals, d) is not con.positive:
             return None
     for plan in problem.plans:
         if _solve_group(plan, d, vals, budget) is not None:

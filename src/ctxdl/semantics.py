@@ -5,10 +5,11 @@ individual element, a concept subset, and a role relation. Context tops
 (TopCtx nodes) are interpreted through a separate per-context-id map.
 
 The bounded model / countermodel search (`find_model`, `check_entailment`)
-lives in `ctxdl.search`, which compiles the same rules to int-mask closures;
-the frozenset evaluator here stays independent of it, and witnesses replay
-through it. Together the two files form the semantic oracle used by the
-transformation checkers.
+lives in `ctxdl.search`, which compiles the same rules to int-mask interval
+closures, exact where every component they read is assigned; the frozenset
+evaluator here stays independent of them and is the semantic reference:
+witnesses replay through it. Together the two files form the semantic
+oracle used by the transformation checkers.
 """
 
 from __future__ import annotations

@@ -51,7 +51,6 @@ from ctxdl.search import (
     _decode_pairs,
     _decode_set,
     _Domain,
-    _exact,
     _interval,
     _producer,
     _submasks,
@@ -185,8 +184,8 @@ class TestIntervalEvaluation:
         concept = random_concept(rng, terms, rng.randint(0, 2))
         role = random_role(rng, terms, rng.randint(0, 2))
         slots = {}
-        concept_ival = _interval(concept, slots)
-        role_ival = _interval(role, slots)
+        concept_ival = _interval(concept, slots, set())
+        role_ival = _interval(role, slots, set())
         vals, dom = encode(full, slots, exposed), _Domain(size)
         clo, chi = concept_ival(vals, dom)
         rlo, rhi = role_ival(vals, dom)
@@ -195,18 +194,13 @@ class TestIntervalEvaluation:
         assert _decode_set(clo) <= actual_c <= _decode_set(chi)
         assert _decode_pairs(rlo, size) <= actual_r <= _decode_pairs(rhi, size)
 
-    def test_exact_on_full_assignments(self):
-        rng = random.Random(5)
-        terms = term_pool(2)
-        for _ in range(50):
-            size = rng.randint(1, 3)
-            full = random_interpretation(rng, terms, size)
-            c = random_concept(rng, terms, 2)
-            slots = {}
-            ival = _interval(c, slots)
-            lo, hi = ival(encode(full, slots), _Domain(size))
-            assert lo == hi
-            assert _decode_set(lo) == eval_concept(c, full)
+
+def holds(con, vals, dom):
+    """Whether `con`'s axiom holds under a total assignment of its
+    components: `decide`, which is never None there."""
+    verdict = con.decide(vals, dom)
+    assert verdict is not None, (con.left, con.right)
+    return verdict
 
 
 def node_types(expr, acc):
@@ -219,7 +213,9 @@ def node_types(expr, acc):
 
 
 class TestMaskKernel:
-    """The compiled exact evaluator against the frozenset evaluator."""
+    """The compiled interval evaluator at total assignments against the
+    frozenset evaluator: every interval is exact, the value itself, and
+    every axiom is decided the way `satisfies` decides it."""
 
     @pytest.mark.parametrize("seed", [2024, 2025])
     def test_exact_matches_semantics(self, seed):
@@ -234,13 +230,15 @@ class TestMaskKernel:
             role = random_role(rng, terms, rng.randint(0, 3))
             axiom = random_axiom(rng, terms, rng.randint(0, 2))
             slots = {}
-            concept_fn = _exact(concept, slots, set())
-            role_fn = _exact(role, slots, set())
-            holds_fn = _Constraint(axiom, True, slots).holds
+            concept_fn = _interval(concept, slots, set())
+            role_fn = _interval(role, slots, set())
+            decide = _Constraint(axiom, True, slots).decide
             vals = encode(interp, slots)
-            assert _decode_set(concept_fn(vals, dom)) == eval_concept(concept, interp)
-            assert _decode_pairs(role_fn(vals, dom), size) == eval_role(role, interp)
-            assert holds_fn(vals, dom) is satisfies(interp, axiom)
+            (clo, chi), (rlo, rhi) = concept_fn(vals, dom), role_fn(vals, dom)
+            assert clo == chi and rlo == rhi
+            assert _decode_set(clo) == eval_concept(concept, interp)
+            assert _decode_pairs(rlo, size) == eval_role(role, interp)
+            assert decide(vals, dom) is satisfies(interp, axiom)
             for expr in (concept, role, axiom):
                 node_types(expr, seen)
         assert {Closure, AtMost, AtLeast, Inverse, Compose, Product, Nominals} <= seen
@@ -294,9 +292,7 @@ class TestMaskRules:
                                        RoleAssert(RoleAtom(Term.nc("R")), Term.nc("a"), Term.nc("b"))])
     def test_evaluators_reject_non_expressions(self, value):
         with pytest.raises(TypeError):
-            _exact(value, {}, set())
-        with pytest.raises(TypeError):
-            _interval(value, {})
+            _interval(value, {}, set())
 
     def test_every_row_has_a_backward_rule_or_is_listed_without_one(self):
         for ctor, (_, _, back) in _MASK_RULES.items():
@@ -322,7 +318,7 @@ class TestMaskRules:
             slots = {}
             con = _Constraint(random_inclusion(rng, node, terms), True, slots)
             read = {}
-            _interval(node, read)
+            _interval(node, read, set())
             atoms = [comp for comp in read if comp[0] != IND]
             if not atoms:
                 continue
@@ -340,7 +336,7 @@ class TestMaskRules:
             narrowed += plo | lo != lo or phi & hi != hi
             for value in _submasks(lo, hi ^ lo):
                 vals[slot] = value
-                if con.holds(vals, dom):
+                if holds(con, vals, dom):
                     assert not plo & ~value and not value & ~phi, (con.left, con.right, comp, lo, hi, value)
         assert narrowed > 40
 
@@ -360,8 +356,8 @@ class TestMaskRules:
             concept = random_concept(rng, terms, rng.randint(1, 3))
             role = random_role(rng, terms, rng.randint(1, 3))
             slots = {}
-            concept_ival = _interval(concept, slots)
-            role_ival = _interval(role, slots)
+            concept_ival = _interval(concept, slots, set())
+            role_ival = _interval(role, slots, set())
             vals, dom = encode(full, slots, exposed), _Domain(size)
             clo, chi = concept_ival(vals, dom)
             rlo, rhi = role_ival(vals, dom)
@@ -421,8 +417,8 @@ class TestBracketReadings:
             concept = random_concept(rng, terms, rng.randint(1, 3))
             role = random_role(rng, terms, rng.randint(1, 3))
             slots = {}
-            concept_ival = _interval(concept, slots)
-            role_ival = _interval(role, slots)
+            concept_ival = _interval(concept, slots, set())
+            role_ival = _interval(role, slots, set())
             vals, dom = encode(full, slots, exposed), _Domain(size)
             bracket_one_atom(rng, full, slots, vals, dom)
             clo, chi = concept_ival(vals, dom)
@@ -1069,7 +1065,7 @@ def chronological(patch):
         plan = plan_group(*args)
         before = [(1 << i) - 1 for i in range(len(plan.slots))]
         plan.setters = before
-        plan.checks_at = [tuple(entry[:3] + (before[i],) + entry[4:] for entry in entries)
+        plan.checks_at = [tuple(entry[:2] + (before[i],) + entry[3:] for entry in entries)
                           for i, entries in enumerate(plan.checks_at)]
         plan.watch_at = [tuple((decide, negative, before[j]) for decide, negative, _ in entries)
                          for j, entries in enumerate(plan.watch_at)]
@@ -1178,7 +1174,7 @@ class TestConflictSets:
             try:
                 for value in full:
                     vals[slots[i]] = value
-                    assert any(con.holds(vals, d) is not con.positive for con in constraints_at[id(plan)][1][i]), \
+                    assert any(holds(con, vals, d) is not con.positive for con in constraints_at[id(plan)][1][i]), \
                         (i, conflict, value)
             finally:
                 vals[:] = saved
@@ -1192,6 +1188,43 @@ class TestConflictSets:
             (entry, lambda o=onto: find_model(o, 3, budget=3000))
             for entry, onto in zip(RETRIED_STATEMENTS, retried_ontologies()))))
         assert checked["failures"] > 5000 and checked["retried"] > 40, checked
+
+    def test_producers_read_only_values(self, monkeypatch):
+        # A producer's side reads only positions before its own, and a
+        # retry never reads one of those as its frame's bracket
+        # (`_lift_position`), so every bound a producer gives is an exact
+        # interval and `_bracket` takes its low end. A read made while an
+        # earlier position holds a bracket is a read inside a retry; the
+        # NdTerms rewrites of the random corpus at bound 4 make most of them.
+        make = search_module._producer
+        reads = {"all": 0, "retry": 0}
+
+        def producer(con, target):
+            prod = make(con, target)
+            if prod is not None:
+                bound = prod.bound
+
+                def exact(v, d):
+                    lo, hi = bound(v, d)
+                    assert lo == hi, (con.left, con.right, lo, hi)
+                    reads["all"] += 1
+                    reads["retry"] += any(x.__class__ is tuple for x in v)
+                    return lo, hi
+
+                prod.bound = exact
+            return prod
+
+        def rewrites():
+            for seed in range(10):
+                for index, (onto, ca) in enumerate(generate_corpus(seed, 200, max_terms=4, max_axioms=5)):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        rewritten = contextualize(Strategy.ND_TERMS, AnnotatedOntology(onto, ca))
+                    yield f"ndterms/{seed}/{index}", lambda o=rewritten: find_model(o, 4, budget=3000)
+
+        monkeypatch.setattr(search_module, "_producer", producer)
+        run_all(itertools.chain(curated_searches((3, 4)), seeded_searches(300), rewrites()))
+        assert reads["all"] > 300_000 and reads["retry"] > 200, reads
 
     def test_same_verdicts_and_first_witnesses_as_chronological_backtracking(self, monkeypatch):
         searches = list(itertools.chain(curated_searches((3,)), seeded_searches(300)))
