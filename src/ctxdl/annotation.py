@@ -25,6 +25,7 @@ from .core import (
     signature_of,
     stable_hash,
 )
+from .semantics import Interpretation
 
 
 class AnnotationError(ValueError):
@@ -51,6 +52,10 @@ class ContextualAnnotation:
     `ctx_id` is the stable identifier other components use for renaming and
     for the context top; equal (anchor, abox) inputs derive equal ids unless
     an explicit id is supplied.
+
+    A validated annotation asserts only atomic concepts and roles, so it is
+    consistent, and `least_model()` gives the model that `find_model`
+    returns for `as_ontology()` at any bound, without a search.
     """
 
     anchor: Term
@@ -71,6 +76,29 @@ class ContextualAnnotation:
         # Kept in the instance's `__dict__`, outside the fields, so equality,
         # hashing and `repr` do not see it.
         return Ontology(self.abox, self.signature())
+
+    def least_model(self) -> Interpretation:
+        """The one-element model of the ABox, built once per instance: every
+        term of the signature is individual 0, each asserted concept name is
+        {0}, each asserted role name is {(0, 0)}, and every other concept
+        and role is empty. It is the first model the search meets, since
+        the search tries size 1 first and gives each atom its least value
+        first."""
+        return self._least_model
+
+    @cached_property
+    def _least_model(self) -> Interpretation:
+        # Kept outside the fields, as `_ontology` is.
+        terms = self.signature()
+        empty: frozenset = frozenset()
+        conc, role = dict.fromkeys(terms, empty), dict.fromkeys(terms, empty)
+        point, loop = frozenset({0}), frozenset({(0, 0)})
+        for ax in self.abox:
+            if isinstance(ax, ConceptAssert):
+                conc[ax.concept.term] = point
+            else:
+                role[ax.role.term] = loop
+        return Interpretation(size=1, indiv=dict.fromkeys(terms, 0), conc=conc, role=role)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,12 @@ conclusion verdict. The optional `budget` of each checker is the candidate
 budget of every search call it makes (see `find_model`); a search that
 exceeds it raises `BoundTooLargeError`.
 
+A validated annotation asserts only atomic concepts and roles, so its
+verdict is known without a search: `check_soundness` takes the
+annotation's one-element least model
+(`ContextualAnnotation.least_model`), which is the model `find_model`
+would return, and spends no budget on it.
+
 The premise verdict belongs to the original statement, so it is the same
 under every strategy. The checkers remember a premise search that found no
 model: a `NoModelUpTo`, a `NoCounterexampleUpTo` with its derivation, or a
@@ -160,15 +166,18 @@ def check_soundness(
 
     The output ontology is searched with slack on top of the bound: the
     witness domains of the two premises may end up side by side in a model
-    of the contextualization, so their sizes are added to the bound. A
-    premise search of the statement or of the annotation that found no
-    model at this bound and budget, or ran out of the budget, is not run
-    again while the premise ontology lives.
+    of the contextualization, so their sizes are added to the bound. The
+    annotation is not searched: its premise verdict is `SatisfiableAt` its
+    least model, of size 1, whatever the bound and budget. So `budget`
+    bounds two searches, the statement's and the output's, and only they
+    can raise `BoundTooLargeError`. A statement search that found no model
+    at this bound and budget, or ran out of the budget, is not run again
+    while the statement ontology lives.
     """
     v_onto = _premise_verdict(ontology, None, bound, budget)
-    v_ca = _premise_verdict(ca.as_ontology(), None, bound, budget)
+    v_ca = SatisfiableAt(ca.least_model(), 1)
     premises = (v_onto, v_ca)
-    if isinstance(v_onto, NoModelUpTo) or isinstance(v_ca, NoModelUpTo):
+    if isinstance(v_onto, NoModelUpTo):
         return PropertyReport(Property.SOUNDNESS, premises, None, Outcome.INCONCLUSIVE_AT_BOUND, bound)
     slack = v_onto.size + v_ca.size
     result = contextualize(strategy, AnnotatedOntology(ontology, ca))

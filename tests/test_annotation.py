@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -21,6 +22,10 @@ from ctxdl.core import (
     RoleAtom,
     Top,
 )
+from ctxdl.search import find_model
+from ctxdl.semantics import SatisfiableAt, is_model
+from ctxdl.textio import serialize
+from ctxdl.verify import generate_corpus
 
 from conftest import cassert, nc, rassert
 
@@ -157,3 +162,47 @@ class TestValidateAnnotation:
                 assert expected
             except DisconnectedError:
                 assert not expected
+
+
+def punned_annotations():
+    """Annotations where one name is an individual, a role and a concept."""
+    yield validate_annotation(nc("p"), [rassert("p", "p", "p"), cassert("p", "p")])
+    yield validate_annotation(nc("a"), [rassert("p", "a", "p"), cassert("p", "p"), cassert("a", "p")])
+    yield validate_annotation(nc("a"), [rassert("b", "a", "b"), rassert("a", "b", "a"), cassert("b", "a")])
+
+
+class TestLeastModel:
+    """The least model of an annotation is the model the search finds for it."""
+
+    def test_equals_the_first_model_the_search_finds(self, babylon_annotation):
+        annotations = [babylon_annotation, validate_annotation(nc("a"), []), *punned_annotations()]
+        for seed in range(10):
+            annotations += [ca for _, ca in generate_corpus(seed, 200, 4, 5)]
+        assert len(annotations) >= 2000
+        for ca in annotations:
+            model = ca.least_model()
+            assert model.size == 1
+            assert is_model(model, ca.as_ontology())
+            text = serialize(model)
+            for bound in range(1, 5):
+                verdict = find_model(ca.as_ontology(), bound)
+                assert isinstance(verdict, SatisfiableAt) and verdict.size == model.size
+                assert serialize(verdict.model) == text
+                assert verdict.model == model
+
+    def test_punned_names_keep_each_denotation(self):
+        ca = next(punned_annotations())
+        model = ca.least_model()
+        assert (model.indiv, model.conc, model.role, model.top_ctx) == (
+            {nc("p"): 0}, {nc("p"): frozenset({0})}, {nc("p"): frozenset({(0, 0)})}, {})
+
+    def test_built_once_outside_the_value(self, babylon_annotation):
+        ca = babylon_annotation
+        twin = validate_annotation(ca.anchor, ca.abox, ctx_id=ca.ctx_id)
+        before = repr(ca), hash(ca)
+        model = ca.least_model()
+        assert ca.least_model() is model
+        assert (repr(ca), hash(ca)) == before == (repr(twin), hash(twin))
+        assert ca == twin and "_least_model" not in vars(twin)
+        assert "_least_model" not in {f.name for f in dataclasses.fields(ca)}
+        assert twin.least_model() == model and twin.least_model() is not model

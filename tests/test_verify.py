@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from ctxdl import search, verify
-from ctxdl.annotation import AnnotatedOntology, validate_annotation
+from ctxdl.annotation import AnnotatedOntology, ContextualAnnotation, validate_annotation
 from ctxdl.core import (
     AtMost,
     Bottom,
@@ -282,11 +282,15 @@ class TestPremiseMemo:
                 yield lambda s=strategy, o=onto, a=ca: check_soundness(s, o, a, 3, budget=1000)
                 yield lambda s=strategy, o=onto, a=ca: check_inconsistency_preservation(s, o, a, 3, budget=1000)
 
-    def test_reports_equal_those_without_the_memo(self, babylon_annotation):
+    def test_reports_equal_those_without_the_memo(self, monkeypatch, babylon_annotation):
         checks = list(self.property_checks(babylon_annotation))
         verify._PREMISES.clear()
         remembered = [checked(check) for check in checks]
         assert len(verify._PREMISES) > 20
+        # The reference searches the annotation too, at the bound and budget
+        # of the soundness checks above, as the checker once did.
+        monkeypatch.setattr(ContextualAnnotation, "least_model",
+                            lambda ca: search.find_model(ca.as_ontology(), 3, budget=1000).model)
         searched = []
         for check in checks:
             verify._PREMISES.clear()
@@ -385,10 +389,51 @@ class TestPremiseMemo:
         onto = Ontology([rassert("capital", "babylon", "babylonianEmpire")])
         verify._PREMISES.clear()
         for _ in range(2):
-            _, searches = count_searches(monkeypatch, lambda: check_soundness(
+            result, searches = count_searches(monkeypatch, lambda: check_soundness(
                 Strategy.ND_TERMS, onto, babylon_annotation, 3))
-            assert searches == 3
+            # The statement and its rewrite; the annotation is not searched.
+            assert searches == 2
+            assert result[1][1] == described(search.find_model(babylon_annotation.as_ontology(), 3))
         assert len(verify._PREMISES) == 0
+
+    def test_a_small_budget_is_spent_only_on_the_searches_made(self, monkeypatch):
+        """At a budget of 3 candidates, most annotation searches would run
+        out. `check_soundness` decides wherever the statement search and the
+        rewrite's search fit, and a budget-out it raises is one of theirs."""
+        bound, budget = 3, 3
+        annotation_out_decided = raised = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for onto, ca in generate_corpus(seed=20250810, count=60, max_terms=5, max_axioms=6):
+                try:
+                    search.find_model(ca.as_ontology(), bound, budget=budget)
+                    annotation_out = False
+                except BoundTooLargeError:
+                    annotation_out = True
+                for strategy in Strategy:
+                    verify._PREMISES.clear()
+                    expected = []
+                    try:
+                        v_onto = search.find_model(onto, bound, budget=budget)
+                        expected.append(("statement", v_onto))
+                        if isinstance(v_onto, SatisfiableAt):
+                            rewrite = contextualize(strategy, AnnotatedOntology(onto, ca))
+                            expected.append(("rewrite", search.find_model(rewrite, bound + v_onto.size + 1,
+                                                                          budget=budget)))
+                    except BoundTooLargeError as exc:
+                        expected.append(("budget-out", exc.explored, exc.budget, str(exc)))
+                    with recorded_budgets(monkeypatch) as budgets:
+                        result = checked(lambda: check_soundness(strategy, onto, ca, bound, budget=budget))
+                    assert len(budgets) == len(expected)
+                    if expected[-1][0] == "budget-out":
+                        assert result == expected[-1]
+                        raised += 1
+                        continue
+                    assert result[1] == (described(expected[0][1]), described(SatisfiableAt(ca.least_model(), 1)))
+                    assert result[2] == (described(expected[1][1]) if len(expected) == 2 else None)
+                    annotation_out_decided += annotation_out
+        assert annotation_out_decided >= 60
+        assert raised >= 200
 
     def test_an_entry_dies_with_its_premise(self, babylon_annotation):
         verify._PREMISES.clear()
