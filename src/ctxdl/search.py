@@ -47,36 +47,36 @@ Pruning machinery, in order of impact:
   its lower bound only, and needs no rule for that: its first candidate is
   the lower bound, no later check reads it, so no conflict set names it, and
   backjumping pops its frame without trying a second candidate;
-* check first: before a component's candidates are tried, the axioms whose
-  last component it is are decided with its atom reading the bracket
-  `(lower, upper)`; an axiom settled against there fails every candidate,
-  so the frame fails without trying one, and an axiom settled in favour
-  is not checked per candidate;
+* check first, one rule for every axiom at every component it reads:
+  before a component's candidates are tried, each axiom that reads it is
+  decided with its atom reading the bracket `(lower, upper)` and its later
+  components open. An axiom settled against there fails every candidate,
+  so the frame fails without trying one; one settled in favour is dropped
+  there; the rest are decided on each candidate, exactly at the axiom's
+  last component and on intervals before it;
 * backward projection (HC4-revise, Benhamou et al. 1999): each mask rule
   also has a backward rule, which turns the bounds required of a node and
   the intervals of its other children into bounds on each child. At a
   position where a frame has already failed in the group's search, each
-  positive axiom that check first leaves open pushes its required bounds
-  (the left side inside the high end of the right side, the right side
-  around the low end of the left side) down to the position's own atom and
-  narrows the bracket; an empty bracket fails the frame, and the open
-  axioms are decided again on the narrowed one. Surviving candidates keep
-  their order, so the first witness does not move;
+  positive axiom that check first leaves open there pushes its required
+  bounds (the left side inside the high end of the right side, the right
+  side around the low end of the left side) down to the position's own
+  atom and narrows the bracket; an empty bracket fails the frame, and the
+  open axioms are decided again on the narrowed one. Surviving candidates
+  keep their order, so the first witness does not move;
 * one failure rule (conflict-directed backjumping, Prosser 1993): every
   failure returns a conflict set, the positions it read, and the jump back
   merges it into the deepest frame it names. A frame records the setters
   of its bracket: the positions its producers read and, where narrowing
   moved the bracket, those of the axioms that narrowed it. A clash between
-  the bounds (an empty bracket) blames the setters; a check-first failure
-  blames the axiom's other components and the setters; an exhausted frame
-  blames its conflict set and the setters;
+  the bounds (an empty bracket) blames the setters; an axiom that fails
+  blames its components before this one and the setters; an exhausted
+  frame blames its conflict set and the setters;
 * retry: a check-first failure that narrowing took part in is pushed once
   more with the deepest position it blames reading its frame's bracket. If
   it fails again, that frame fails whole instead of trying its remaining
   candidates: in the conflict set, the position is replaced by its frame's
   conflict set and setters;
-* axioms are re-checked as soon as their last component is assigned, and
-  interval-checked at each earlier one;
 * independent subproblems (connected components of the axiom/term graph) are
   solved separately and merged;
 * on failure, backjumping skips re-enumeration of components that did not
@@ -696,30 +696,22 @@ class _Constraint:
         return project
 
 
-class _Producer:
-    """A constraint consumed as a bound on one component once its other
-    components are assigned: the kind, "L" (forced members), "U" (allowed
-    members) or "X" (excluded members), and `bound`, the interval closure of
-    the side of the inclusion whose value is the bound's mask. That side
-    reads only earlier positions, which always hold values when it is read
-    (`_lift_position` never lifts a position the producers read), so its
-    interval is exact and `_bracket` takes its low end."""
-
-    def __init__(self, kind: str, con: _Constraint, side: int):
-        self.kind = kind
-        self.bound = con.intervals[side]
-
-
-def _producer(con: _Constraint, target: int) -> Optional[_Producer]:
+def _producer(con: _Constraint, target: int) -> Optional[tuple[str, Interval]]:
     """`con` consumed as a bound on the slot `target`, or None when it is not
-    one. Where the other side does not read it, the atom on the left of a
-    positive inclusion is bounded above by the right side, and the atom on
-    the right below by the left side; an assertion required to fail
-    excludes its point."""
+    one. A bound is `(kind, bound)`: the kind, "L" (forced members), "U"
+    (allowed members) or "X" (excluded members), and the interval closure of
+    the side of the inclusion whose value is the bound's mask. Where the
+    other side does not read it, the atom on the left of a positive
+    inclusion is bounded above by the right side, and the atom on the right
+    below by the left side; an assertion required to fail excludes its
+    point. The bound's side reads only earlier positions, which always hold
+    values when it is read (`_lift_position` never lifts a position the
+    producers read), so its interval is exact and `_bracket` takes its low
+    end."""
     if target == con.upper:
-        return _Producer("U", con, 1)
+        return "U", con.intervals[1]
     if target == con.lower:
-        return _Producer("L" if con.positive else "X", con, 0)
+        return "L" if con.positive else "X", con.intervals[0]
     return None
 
 
@@ -752,16 +744,16 @@ class _Plan:
     aspects: list[str]
     # Per position, a list of entries, or one shared empty tuple for none:
     # a position's first entry gives it a list.
-    # The producers consumed at each position, and the positions they read:
-    # the setters of its bracket.
-    producers_at: list[Sequence[_Producer]]
+    # The bounds consumed at each position, `(kind, bound)` as `_producer`
+    # gives them, and the positions they read: the setters of its bracket.
+    producers_at: list[Sequence[tuple[str, Interval]]]
     setters: list[int]
-    # (decide, positive, positions of the constraint's other components,
-    # the constraint): `decide` reads the bracket in check first and is
-    # exact on each candidate.
+    # Each constraint not consumed as a bound, at every position it reads:
+    # (decide, failing, blame, the constraint). `failing` is the verdict
+    # that fails it, not positive; `blame` the positions it reads before
+    # this one. `decide` reads the bracket in check first and the value on
+    # each candidate, and is exact at the constraint's last position.
     checks_at: list[Sequence[tuple[Callable, bool, int, _Constraint]]]
-    # (decide, not positive, positions of the constraint's earlier components)
-    watch_at: list[Sequence[tuple[Callable, bool, int]]]
 
 
 _PHASE = {IND: 0, TOPCTX: 1, CONC: 1, ROLE: 2}
@@ -779,45 +771,36 @@ def _plan_group(comps: Sequence[int], constraints: Sequence[_Constraint], keys: 
     producers_at: list = [()] * len(order)
     setters = [0] * len(order)
     checks_at: list = [()] * len(order)
-    watch_at: list = [()] * len(order)
     for con in constraints:
         positions = 0
         for c in con.comps:
             positions |= 1 << position[c]
         i = positions.bit_length() - 1
-        last = order[i]
-        others = positions & ~(1 << i)
-        prod = _producer(con, last)
+        prod = _producer(con, order[i])
         if prod is not None:
             if not (entries := producers_at[i]):
                 entries = producers_at[i] = []
             entries.append(prod)
-            setters[i] |= others
-        else:
-            if not (entries := checks_at[i]):
-                entries = checks_at[i] = []
-            entries.append((con.decide, con.positive, others, con))
-            # Interval-check the axiom at every earlier component; many
-            # axioms are settled well before their last component. Settled
-            # negatively by assigned components alone, so only those can be
-            # blamed.
-            for comp in con.comps:
-                if comp != last:
-                    j = position[comp]
-                    if not (entries := watch_at[j]):
-                        entries = watch_at[j] = []
-                    entries.append((con.decide, not con.positive, positions & ((1 << j) - 1)))
+            setters[i] |= positions & ~(1 << i)
+            continue
+        # Decide the axiom at every position it reads; many are settled
+        # well before their last one. Where a later position is still
+        # unassigned, only the earlier ones can have settled it.
+        for c in con.comps:
+            j = position[c]
+            if not (entries := checks_at[j]):
+                entries = checks_at[j] = []
+            entries.append((con.decide, not con.positive, positions & ((1 << j) - 1), con))
 
     aspects = [keys[c][0] for c in order]
-    return _Plan(order, aspects, producers_at, setters, checks_at, watch_at)
+    return _Plan(order, aspects, producers_at, setters, checks_at)
 
 
-def _bracket(producers: list[_Producer], vals: Vals, d: _Domain, upper: int) -> tuple[int, int]:
+def _bracket(producers: Sequence[tuple[str, Interval]], vals: Vals, d: _Domain, upper: int) -> tuple[int, int]:
     """The `(lower, upper)` bounds the producers put on one component."""
     lower = 0
-    for prod in producers:
-        mask = prod.bound(vals, d)[0]
-        kind = prod.kind
+    for kind, bound in producers:
+        mask = bound(vals, d)[0]
         if kind == "L":
             lower |= mask
         elif kind == "U":
@@ -862,13 +845,14 @@ def _push(plan: _Plan, i: int, vals: Vals, d: _Domain, project: int) -> list | t
     and once narrowing has moved the bracket, those of the constraints
     that narrowed it (`blame`), where the frame's conflict set starts too.
     A clash between the bounds, an empty bracket, blames the setters
-    alone. Then check first, over the whole bracket: a constraint settled
-    against fails every candidate, so none is tried, and blames the
-    positions of its other components too; one settled in favour holds
-    for every candidate, so it is not checked per candidate. Then, where
-    `project` is set, each positive constraint left open narrows the
-    bracket to the values its projector allows, and a second round decides
-    the open constraints again on the narrowed bracket."""
+    alone. Then check first, over the whole bracket, of every constraint
+    that reads position i: one settled against fails every candidate, so
+    none is tried, and blames the positions it reads before i too; one
+    settled in favour holds for every candidate and every completion, so
+    it is dropped from the frame. Then, where `project` is set, each
+    positive constraint left open narrows the bracket to the values its
+    projector allows, and a second round decides the open constraints
+    again on the narrowed bracket."""
     checks = open_checks = plan.checks_at[i]
     aspect = plan.aspects[i]
     if aspect == IND:  # no producer bounds an individual
@@ -883,14 +867,14 @@ def _push(plan: _Plan, i: int, vals: Vals, d: _Domain, project: int) -> list | t
         vals[slot] = (lower, upper)
         open_checks, projectable, narrowed = [], [], False
         for check in checks:
-            decide, positive, others, _ = check
+            decide, failing, earlier, _ = check
             settled = decide(vals, d)
             if settled is None:
                 open_checks.append(check)
-                if project and positive:
+                if project and not failing:
                     projectable.append(check)
-            elif settled is not positive:
-                conflict = others | setters
+            elif settled is failing:
+                conflict = earlier | setters
                 break
         else:
             for check in projectable:
@@ -922,13 +906,16 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
     success.
 
     Depth-first over the plan's order with an explicit stack of the frames
-    `_push` makes. Every failure returns a conflict set, and the jump back
-    merges it into the frame of the deepest position it blames. A failure
-    that narrowing took part in is pushed once more with the position k it
-    names reading frame k's bracket; if that fails too and blames no
-    position between k and i, frame k fails whole (`_fail_whole`). An
-    exhausted frame blames its conflict set and the setters of its
-    bracket."""
+    `_push` makes. A candidate is decided by the checks its frame left
+    open, one list over every constraint that reads the position: the
+    first that fails it adds the positions it reads before this one to the
+    frame's conflict set. Every failure returns a conflict set, and the
+    jump back merges it into the frame of the deepest position it blames.
+    A failure that narrowing took part in is pushed once more with the
+    position k it names reading frame k's bracket; if that fails too and
+    blames no position between k and i, frame k fails whole
+    (`_fail_whole`). An exhausted frame blames its conflict set and the
+    setters of its bracket."""
     depth = len(plan.slots)
     pslots = plan.slots
     tick = budget.tick
@@ -968,24 +955,15 @@ def _solve_group(plan: _Plan, d: _Domain, vals: Vals, budget: _Budget) -> Option
                     continue
                 frame[1] |= returned & ~(1 << i)
                 returned = None
-            conflict = frame[1]
-            checks, watches = frame[4], plan.watch_at[i]
+            conflict, checks = frame[1], frame[4]
             for value in frame[0]:
                 tick()
                 vals[slot] = value
-                failed = False
-                for decide, positive, others, _ in checks:
-                    if decide(vals, d) is not positive:
-                        conflict |= others
-                        failed = True
+                for decide, failing, earlier, _ in checks:
+                    if decide(vals, d) is failing:
+                        conflict |= earlier
                         break
-                if not failed:
-                    for decide, negative, earlier in watches:
-                        if decide(vals, d) is negative:
-                            conflict |= earlier
-                            failed = True
-                            break
-                if not failed:
+                else:
                     break
             else:
                 vals[slot] = None
@@ -1329,7 +1307,7 @@ def _lift_product(cl: _Closure, n: int, i: int, key) -> list:
 
 
 _NO_RULE = (None, None, None)
-_TOP = (_seed_every(IN), None, None)
+_TOP, _BOTTOM = (_seed_every(IN), None, None), (_seed_every(OUT), None, None)
 _OR, _AND = (None, _gate(IN), _same_key), (None, _gate(OUT), _same_key)
 _NEG = (None, _settle_neg, _same_key)
 _FORALL, _AT_MOST_0, _EXISTS = _restriction(IN, IN), _restriction(IN, OUT), _restriction(OUT, OUT)
@@ -1337,7 +1315,7 @@ _FORALL, _AT_MOST_0, _EXISTS = _restriction(IN, IN), _restriction(IN, OUT), _res
 # Per constructor, the maker of its row from the node, as for `_MASK_RULES`.
 _CLOSURE_RULES: dict[type, Callable] = {
     Top: _fixed(_TOP),
-    Bottom: _fixed((_seed_every(OUT), None, None)),
+    Bottom: _fixed(_BOTTOM),
     TopCtx: _fixed(_NO_RULE),
     ConceptAtom: _fixed(_NO_RULE),
     ConceptUnion: _fixed(_OR),
@@ -1345,8 +1323,11 @@ _CLOSURE_RULES: dict[type, Callable] = {
     ConceptNeg: _fixed(_NEG),
     Exists: _fixed(_EXISTS),
     Forall: _fixed(_FORALL),
-    AtMost: lambda e: _AT_MOST_0 if e.bound == 0 else _NO_RULE,
-    AtLeast: lambda e: _TOP if e.bound == 0 else _EXISTS if e.bound == 1 else _NO_RULE,
+    # No element has a successor in ⊥: at most k of them is ⊤, and at
+    # least k ≥ 1 of them is ⊥.
+    AtMost: lambda e: _TOP if e.concept.__class__ is Bottom else _AT_MOST_0 if e.bound == 0 else _NO_RULE,
+    AtLeast: lambda e: (_TOP if e.bound == 0 else _BOTTOM if e.concept.__class__ is Bottom
+                        else _EXISTS if e.bound == 1 else _NO_RULE),
     Nominals: _fixed((_seed_members, None, None)),
     RoleAtom: _fixed(_NO_RULE),
     RoleUnion: _fixed(_OR),

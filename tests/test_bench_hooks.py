@@ -1,9 +1,12 @@
-"""The library names the benchmark's tracer and fingerprint script rely on.
+"""The library names the benchmark's tracer and the measuring scripts rely on.
 
 `perfbench/tracing.py` wraps library functions at the module attributes
-where the library looks them up, and `scripts/search_fingerprint.py`
-subclasses `search._Budget`. A simplification that deletes one of these
-names breaks the benchmark run, not the library, so it is caught here.
+where the library looks them up, `scripts/search_fingerprint.py`
+subclasses `search._Budget`, and `scripts/plan_split.py` replays
+`find_model` through `search._prepare`, `_solve_at_size`, `_refute` and
+`_build_interpretation`. A simplification that deletes or renames one of
+these names breaks the benchmark run or a script, not the library, so it is
+caught here.
 """
 
 import importlib
@@ -13,20 +16,23 @@ from pathlib import Path
 import pytest
 
 import ctxdl.search
+import ctxdl.semantics
+from ctxdl.verify import curated_inconsistent_ontologies, generate_corpus
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_tracing():
+def load(name: str, path: Path):
     # Loaded by path: `perfbench/workloads.load_modules` would purge and
     # re-import ctxdl under the running tests.
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = load_tracing()
+tracing = load("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+plan_split = load("plan_split", ROOT / "scripts" / "plan_split.py")
 
 
 @pytest.mark.parametrize(
@@ -41,3 +47,18 @@ def test_traced_site_is_a_callable(module, attribute):
 
 def test_budget_class_exists():
     assert isinstance(ctxdl.search._Budget, type)
+
+
+@pytest.mark.parametrize("ontology, verdict", [
+    # A curated contradiction: size 1 fails and the told-fact closure
+    # refutes it.
+    (dict(curated_inconsistent_ontologies())["irreflexivity"], ctxdl.semantics.NoModelUpTo),
+    # A seeded corpus statement, whose model is decoded.
+    (generate_corpus(1, 1, max_terms=4, max_axioms=5)[0][0], ctxdl.semantics.SatisfiableAt),
+], ids=["curated", "seeded"])
+def test_plan_split_replays_find_model(ontology, verdict):
+    times, replayed = plan_split.replay(ctxdl.search, ctxdl.semantics, ontology, 3, 3000)
+    assert len(times) == len(plan_split.STEPS)
+    assert isinstance(replayed, verdict)
+    found = ctxdl.search.find_model(ontology, 3, budget=3000)
+    assert plan_split._key(replayed) == plan_split._key(found)

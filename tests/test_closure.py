@@ -10,8 +10,24 @@ import random
 import typing
 import warnings
 
+import pytest
+
 from ctxdl.annotation import AnnotatedOntology
-from ctxdl.core import ConceptAssert, ConceptAtom, ConceptExpr, ConceptSub, Ontology, RoleExpr, RoleSub, Term
+from ctxdl.core import (
+    AtLeast,
+    AtMost,
+    Bottom,
+    ConceptAssert,
+    ConceptAtom,
+    ConceptExpr,
+    ConceptSub,
+    Inverse,
+    Ontology,
+    RoleAtom,
+    RoleExpr,
+    RoleSub,
+    Term,
+)
 from ctxdl.search import _CLOSURE_RULES, Step, _refute, check_entailment, find_model
 from ctxdl import search as search_module
 from ctxdl.semantics import (
@@ -25,6 +41,7 @@ from ctxdl.semantics import (
     satisfies,
 )
 from ctxdl.strategies import Strategy, contextualize
+from ctxdl.textio import parse
 from ctxdl.verify import generate_corpus
 
 from generators import random_axiom, random_interpretation, term_pool
@@ -251,3 +268,37 @@ def test_entailment_numbers_each_target_after_the_last():
     second = verdict.derivation[clashes[0] + 1:]
     assert all(clashes[0] < p for step in second for p in step.premises)
     assert {step.axiom for step in second if step.negated} == {ConceptAssert(f, b)}
+
+
+class TestNoSuccessorInBottom:
+    """No element has a successor in ⊥, so `atmost(k, R, bottom)` is ⊤ for
+    every k, and `atleast(k, R, bottom)` is ⊥ for every k ≥ 1."""
+
+    def replayed(self, onto, derivation, seed, rounds):
+        rng = random.Random(seed)
+        terms = sorted(onto.signature, key=Term.sort_key)
+        return sum(replay(derivation, random_interpretation(rng, terms, size, ["CX"]))
+                   for size in (1, 2, 3) for _ in range(rounds))
+
+    def test_statement_189_is_refuted_with_a_derivation_that_replays(self):
+        # `atmost(1, t0, bottom) sub bottom` holds in no interpretation; its
+        # statement's NdTerms rewrite ran out of 200000 candidates at bound 5
+        # before the closure saw it.
+        onto, ca = generate_corpus(1, 200, max_terms=4, max_axioms=5)[189]
+        at_most = AtMost(1, RoleAtom(Term.nc("t0")), Bottom())
+        assert ConceptSub(at_most, Bottom()) in onto.axioms
+        derivation = _refute(onto.axioms)
+        assert derivation and derivation[-1].expr == at_most
+        assert find_model(onto, 3, budget=10_000).derivation == derivation
+        assert find_model(ndterms(onto, ca), 5, budget=200_000) == NoModelUpTo(5)
+        assert self.replayed(onto, derivation, 89, 100) > 300
+
+    @pytest.mark.parametrize("text, clash", [
+        ("atmost(3, t0, bottom) sub bottom . t1(t2) .", AtMost(3, RoleAtom(Term.nc("t0")), Bottom())),
+        ("atleast(2, inv(t0), bottom)(t1) .", AtLeast(2, Inverse(RoleAtom(Term.nc("t0"))), Bottom())),
+    ])
+    def test_every_bound(self, text, clash):
+        (onto,) = parse(f"ontology o {{ {text} }}").ontologies()
+        derivation = _refute(onto.axioms)
+        assert derivation and derivation[-1].expr == clash
+        assert self.replayed(onto, derivation, 97, 50) > 100

@@ -52,6 +52,7 @@ from ctxdl.search import (
     _decode_set,
     _Domain,
     _interval,
+    _prepare,
     _producer,
     _submasks,
     check_entailment,
@@ -515,11 +516,53 @@ class TestConstraintSlots:
             for comp, slot in slots.items():
                 prod = _producer(con, slot)
                 kind = expected_bound_kind(con, comp)
-                assert (prod and prod.kind) == kind, (axiom, positive, comp)
+                assert (prod and prod[0]) == kind, (axiom, positive, comp)
                 kinds.add(kind)
             forms.add(type(axiom))
         assert forms == {ConceptSub, RoleSub, ConceptAssert, RoleAssert}
         assert kinds == {"L", "U", "X", None}
+
+
+class TestPlanShape:
+    """One rule decides every axiom: each constraint that is not consumed as
+    a bound has one `checks_at` entry at every position it reads, which
+    blames the positions it reads before that one, and a constraint
+    consumed as a bound has none."""
+
+    def test_one_entry_per_position_read(self):
+        rng = random.Random(53)
+        terms = term_pool(3)
+        seen = {"bound": 0, "checked": 0, "early": 0}
+        for _ in range(300):
+            slots = {}
+            constraints = []
+            for _ in range(rng.randint(1, 6)):
+                if rng.random() < 0.5:
+                    axiom, positive = random_axiom(rng, terms, rng.randint(0, 2)), rng.random() < 0.5
+                else:
+                    axiom, positive, _ = producer_axiom(rng, terms, rng.choice(terms))
+                constraints.append(_Constraint(axiom, positive, slots))
+            keys = list(slots)
+            for plan in _prepare(constraints, slots).plans:
+                position = {slot: p for p, slot in enumerate(plan.slots)}
+                entries = [(p, entry) for p, at in enumerate(plan.checks_at) for entry in at]
+                grouped = [con for con in constraints if con.comps and con.comps[0] in position]
+                assert {id(entry[3]) for _, entry in entries} <= {id(con) for con in grouped}
+                for con in grouped:
+                    reads = sorted(position[c] for c in con.comps)
+                    mine = [(p, entry) for p, entry in entries if entry[3] is con]
+                    if expected_bound_kind(con, keys[plan.slots[reads[-1]]]) is not None:
+                        assert mine == [], con.left
+                        seen["bound"] += 1
+                        continue
+                    assert [p for p, _ in mine] == reads, con.left
+                    for p, (decide, failing, blame, _) in mine:
+                        assert decide is con.decide
+                        assert failing is (not con.positive)
+                        assert blame == sum(1 << q for q in reads if q < p)
+                    seen["checked"] += 1
+                    seen["early"] += len(reads) > 1
+        assert seen["bound"] > 400 and seen["checked"] > 400 and seen["early"] > 300, seen
 
 
 def backtracking_has_model(constraints, terms, max_size):
@@ -1067,8 +1110,6 @@ def chronological(patch):
         plan.setters = before
         plan.checks_at = [tuple(entry[:2] + (before[i],) + entry[3:] for entry in entries)
                           for i, entries in enumerate(plan.checks_at)]
-        plan.watch_at = [tuple((decide, negative, before[j]) for decide, negative, _ in entries)
-                         for j, entries in enumerate(plan.watch_at)]
         return plan
 
     patch.setattr(search_module, "_plan_group", planned)
@@ -1083,12 +1124,13 @@ def random_value(rng, aspect, d, bracket=None):
 
 
 class TestConflictSets:
-    """Every failure of a frame blames one mask: the other components of
-    the constraint that failed, if one did, and the setters of its bracket,
-    the positions its producers read and those of the constraints that
-    narrowed it. A clash between the bounds blames the setters alone. The
-    conflict sets must stay sound: the search finds the same verdicts and
-    first witnesses as chronological backtracking and never tries more.
+    """Every failure of a frame blames one mask: the positions before its
+    own that the constraint that failed reads, if one did, and the setters
+    of its bracket, the positions its producers read and those of the
+    constraints that narrowed it. A clash between the bounds blames the
+    setters alone. The conflict sets must stay sound: the search finds the
+    same verdicts and first witnesses as chronological backtracking and
+    never tries more.
     The told-fact closure is switched off, so that the search tree decides
     every refutation, and the curated searches get a budget of 30000:
     chronological backtracking runs out of it on some at bound 4."""
@@ -1140,20 +1182,32 @@ class TestConflictSets:
         # For one failure in four, redraw the positions outside the
         # conflict set, and those in it that a retry reads as a bracket
         # within that bracket: still no value at the failing position
-        # satisfies the constraints whose last component it is.
+        # satisfies the constraints that read it. One that it completes
+        # fails on the value; one with later components, unassigned here,
+        # is settled against whatever they take.
         plan_group, push = search_module._plan_group, search_module._push
         constraints_at = {}
         rng = random.Random(43)
-        checked = {"failures": 0, "retried": 0}
+        checked = {"failures": 0, "retried": 0, "settled early": 0}
 
         def planned(comps, constraints, keys):
             plan = plan_group(comps, constraints, keys)
             position = {slot: p for p, slot in enumerate(plan.slots)}
             at = [[] for _ in plan.slots]
             for con in constraints:
-                at[max(position[c] for c in con.comps)].append(con)
+                last = max(position[c] for c in con.comps)
+                for c in con.comps:
+                    at[position[c]].append((con, position[c] == last))
             constraints_at[id(plan)] = plan, at
             return plan
+
+        def fails(con, completed, vals, d):
+            if completed:
+                return holds(con, vals, d) is not con.positive
+            if con.decide(vals, d) is (not con.positive):
+                checked["settled early"] += 1
+                return True
+            return False
 
         def pushed(plan, i, vals, d, project):
             out = push(plan, i, vals, d, project)
@@ -1174,7 +1228,7 @@ class TestConflictSets:
             try:
                 for value in full:
                     vals[slots[i]] = value
-                    assert any(holds(con, vals, d) is not con.positive for con in constraints_at[id(plan)][1][i]), \
+                    assert any(fails(con, completed, vals, d) for con, completed in constraints_at[id(plan)][1][i]), \
                         (i, conflict, value)
             finally:
                 vals[:] = saved
@@ -1187,7 +1241,7 @@ class TestConflictSets:
         run_all(itertools.chain(curated_searches((3,)), seeded_searches(300), (
             (entry, lambda o=onto: find_model(o, 3, budget=3000))
             for entry, onto in zip(RETRIED_STATEMENTS, retried_ontologies()))))
-        assert checked["failures"] > 5000 and checked["retried"] > 40, checked
+        assert checked["failures"] > 5000 and checked["retried"] > 40 and checked["settled early"] > 1000, checked
 
     def test_producers_read_only_values(self, monkeypatch):
         # A producer's side reads only positions before its own, and a
@@ -1201,18 +1255,18 @@ class TestConflictSets:
 
         def producer(con, target):
             prod = make(con, target)
-            if prod is not None:
-                bound = prod.bound
+            if prod is None:
+                return None
+            kind, bound = prod
 
-                def exact(v, d):
-                    lo, hi = bound(v, d)
-                    assert lo == hi, (con.left, con.right, lo, hi)
-                    reads["all"] += 1
-                    reads["retry"] += any(x.__class__ is tuple for x in v)
-                    return lo, hi
+            def exact(v, d):
+                lo, hi = bound(v, d)
+                assert lo == hi, (con.left, con.right, lo, hi)
+                reads["all"] += 1
+                reads["retry"] += any(x.__class__ is tuple for x in v)
+                return lo, hi
 
-                prod.bound = exact
-            return prod
+            return kind, exact
 
         def rewrites():
             for seed in range(10):
