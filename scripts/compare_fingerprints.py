@@ -16,12 +16,14 @@ A call that only the new side decides, or whose count falls, is allowed and
 counted in the summary, which also lists the first calls that only the new
 side decides, with the budget the old side ran out of and the new verdict or
 outcome, and the first calls whose count fell, with their old and new
-totals. Exit 0 when nothing fails.
+totals. Exit 0 when nothing fails, also when the reader of standard output
+closes it early (``| head``).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -42,9 +44,9 @@ def rises(old: list[int], new: list[int]) -> bool:
     return sum(new) > sum(old) or len(old) == len(new) and any(b > a for a, b in zip(old, new))
 
 
-def compare(old_dir: Path, new_dir: Path) -> list[str]:
-    """Print a summary and return the failures, one line each."""
-    failures = []
+def compare(old_dir: Path, new_dir: Path) -> tuple[list[str], list[str]]:
+    """The summary and the failures, one line each."""
+    failures: list[str] = []
     old_verdicts, new_verdicts = load(old_dir / "verdicts.jsonl"), load(new_dir / "verdicts.jsonl")
     old_counts, new_counts = load(old_dir / "counts.jsonl"), load(new_dir / "counts.jsonl")
     if list(old_verdicts) != list(new_verdicts):
@@ -52,7 +54,7 @@ def compare(old_dir: Path, new_dir: Path) -> list[str]:
     if list(old_counts) != list(new_counts):
         failures.append("the two sides count different calls")
     if failures:
-        return failures
+        return [], failures
 
     decided = {"both": 0, "new only": 0, "old only": 0, "neither": 0}
     newly: list[str] = []
@@ -83,31 +85,37 @@ def compare(old_dir: Path, new_dir: Path) -> list[str]:
         elif len(new_ticks) == len(old_ticks):
             fell.append(f"{call_id}: {sum(old_ticks)} -> {sum(new_ticks)}")
 
-    print(f"{len(old_verdicts)} lines, {len(old_counts)} counted calls")
-    print("decided by " + ", ".join(f"{who}: {n}" for who, n in decided.items()))
-    listed(newly, "new only")
-    print(f"counts: {len(fell)} fell, {same} unchanged, {rose} rose")
-    listed(fell, "fell")
+    summary = [
+        f"{len(old_verdicts)} lines, {len(old_counts)} counted calls",
+        "decided by " + ", ".join(f"{who}: {n}" for who, n in decided.items()),
+        *listed(newly, "new only"),
+        f"counts: {len(fell)} fell, {same} unchanged, {rose} rose",
+        *listed(fell, "fell"),
+    ]
     if reshaped:
-        print(f"search calls differ in number on {reshaped} calls")
-    return failures
+        summary.append(f"search calls differ in number on {reshaped} calls")
+    return summary, failures
 
 
-def listed(lines: list[str], label: str) -> None:
-    """Print the first `LISTED` lines under `label`, and how many more there are."""
-    for line in lines[:LISTED]:
-        print(f"  {label} {line}")
-    if len(lines) > LISTED:
-        print(f"  ... and {len(lines) - LISTED} more")
+def listed(lines: list[str], label: str) -> list[str]:
+    """The first `LISTED` lines under `label`, and how many more there are."""
+    more = [f"  ... and {len(lines) - LISTED} more"] if len(lines) > LISTED else []
+    return [f"  {label} {line}" for line in lines[:LISTED]] + more
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    failures = compare(Path(argv[0]), Path(argv[1]))
-    for line in failures:
-        print(f"FAIL {line}")
+    summary, failures = compare(Path(argv[0]), Path(argv[1]))
+    try:
+        for line in summary + [f"FAIL {line}" for line in failures]:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early. Python flushes standard output again at
+        # exit, so point it at devnull, as the `signal` module's docs advise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if failures else 0
 
 

@@ -110,6 +110,7 @@ def count_hashes(mods, calls) -> list[int]:
         return 0.0
 
     original = term.__hash__
+    own = "__hash__" in vars(term)  # else the inherited one, the identity hash
 
     def counting(self):
         counts[step[0]] += 1
@@ -121,7 +122,10 @@ def count_hashes(mods, calls) -> list[int]:
             step[0] = -1
             replay(mods.search, mods.semantics, ontology, max_size, budget, clock=next_step)
     finally:
-        term.__hash__ = original
+        if own:
+            term.__hash__ = original
+        else:
+            del term.__hash__
     return counts[:len(STEPS)]
 
 

@@ -207,8 +207,8 @@ class _Result:
     fields: dict = field(default_factory=dict)
 
 
-def _annotated(ontology_path: str, annotation_path: str) -> AnnotatedOntology:
-    return AnnotatedOntology(_load(ontology_path), _load(annotation_path, BlockKind.ANNOTATION))
+def _annotated(ontology_path: str, annotation_path: str, load=_load) -> AnnotatedOntology:
+    return AnnotatedOntology(load(ontology_path), load(annotation_path, BlockKind.ANNOTATION))
 
 
 def _wrote(args, result: Ontology, name: str) -> _Result:
@@ -260,11 +260,12 @@ def _cmd_check(args) -> _Result:
 
 
 def _cmd_combine(args) -> _Result:
+    load = functools.cache(_load)  # a file named in several pairs is read and parsed once
     inputs = []
     for pair in args.pair:
         if ":" not in pair:
             raise CliError(f"--pair must look like ONT.dl:ANN.dl, got {pair!r}")
-        inputs.append(_annotated(*pair.split(":", 1)))
+        inputs.append(_annotated(*pair.split(":", 1), load=load))
     return _wrote(args, combine_contexts(inputs, args.strategy), "combined")
 
 

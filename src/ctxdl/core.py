@@ -2,8 +2,8 @@
 
 Every term can simultaneously denote an individual, a concept, and a role
 (punning); the interpretation side carries all three denotations per term.
-Expression trees are immutable and compared structurally, with no implicit
-normalization.
+Terms are hash-consed, one object per name and kind. Expression trees are
+immutable and compared structurally, with no implicit normalization.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import hashlib
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 
 class TermKind(Enum):
@@ -26,25 +27,53 @@ def is_clean_name(name: str) -> bool:
     return name.split() == [name]
 
 
-@dataclass(frozen=True)
 class Term:
     """An atomic name, partitioned into non-contextual / contextual / anchor.
 
-    Equality compares name and kind, but the hash is the name's alone: `str`
-    caches its hash, and a name rarely has two kinds. Terms parsed from text
-    are interned through a bounded cache (`textio._term`), so a name parsed
-    again while cached is the same object.
+    Hash-consed: every construction of a `(name, kind)` -- the constructor,
+    `nc`/`ctx`/`anchor`, unpickling, `copy` -- returns the one object that a
+    process-wide table holds for it, so equality and hashing are the
+    inherited identity ones. The table keeps every term it makes for the
+    life of the process. A term is immutable, and stores its `sort_key()`
+    tuple from its creation on.
     """
 
+    __slots__ = ("name", "kind", "_sort_key")
+
     name: str
-    kind: TermKind = TermKind.NON_CONTEXTUAL
+    kind: TermKind
 
-    def __post_init__(self) -> None:
-        if not is_clean_name(self.name):
-            raise ValueError(f"term name must be nonempty without whitespace: {self.name!r}")
+    def __new__(cls, name: str, kind: TermKind = TermKind.NON_CONTEXTUAL) -> "Term":
+        # Keyed by the kind's `_value_`: `hash(kind)` and `kind.value` run in Python.
+        table = _TERMS[kind._value_]
+        term = table.get(name)
+        if term is None:
+            if not is_clean_name(name):
+                raise ValueError(f"term name must be nonempty without whitespace: {name!r}")
+            term = object.__new__(cls)
+            object.__setattr__(term, "name", name)
+            object.__setattr__(term, "kind", kind)
+            object.__setattr__(term, "_sort_key", (name, kind._value_))
+            term = table.setdefault(name, term)
+        return term
 
-    def __hash__(self) -> int:
-        return hash(self.name)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: Term is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: Term is immutable")
+
+    def __repr__(self) -> str:
+        return f"Term(name={self.name!r}, kind={self.kind!r})"
+
+    def __reduce__(self) -> tuple:
+        return (Term, (self.name, self.kind))
+
+    def __copy__(self) -> "Term":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "Term":
+        return self
 
     @classmethod
     def nc(cls, name: str) -> "Term":
@@ -59,7 +88,11 @@ class Term:
         return cls(name, TermKind.ANCHOR)
 
     def sort_key(self) -> tuple[str, str]:
-        return (self.name, self.kind.value)
+        return self._sort_key
+
+
+# The one live term of each name, per kind value.
+_TERMS: dict[str, dict[str, Term]] = {kind.value: {} for kind in TermKind}
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +424,21 @@ class Ontology:
         object.__setattr__(self, "axioms", deduped)
         object.__setattr__(self, "signature", frozenset(_terms_into(set(signature), deduped)))
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # Computed once per instance and kept in its `__dict__`, outside the
+        # fields, as `ContextualAnnotation` keeps its ontology; equality stays
+        # by value.
+        return hash((self.axioms, self.signature))
+
+    def __getstate__(self) -> dict:
+        # Without the cached hash: it follows the terms' addresses, so a copy
+        # unpickled in another process computes its own.
+        return {"axioms": self.axioms, "signature": self.signature}
+
     def __contains__(self, axiom: Axiom) -> bool:
         return axiom in self.axioms
 
@@ -403,8 +451,9 @@ def stable_hash(value: object) -> str:
 
     Used to derive context ids and statement anchors, so equal inputs rename
     identically across runs. Deterministic only for values with no set
-    inside: a set's `repr` follows its iteration order, which for terms and
-    strings varies with `PYTHONHASHSEED`. Axioms, tuples of them and terms
-    hold no set; for an ontology, hash its axioms and sorted signature.
+    inside: a set's `repr` follows its iteration order, which varies with
+    the terms' addresses and the strings' `PYTHONHASHSEED`. Axioms, tuples
+    of them and terms hold no set; for an ontology, hash its axioms and
+    sorted signature.
     """
     return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:8]

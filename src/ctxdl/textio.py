@@ -134,8 +134,9 @@ def infer_kind(name: str) -> TermKind:
 
 @lru_cache(maxsize=16384)
 def _term(name: str) -> Term:
-    """The term `name` reads as, interned through a bounded cache: a name
-    read again while cached, in any document, gives the same object."""
+    """The term `name` reads as. The bounded cache is the parse fast path,
+    past the kind inference and the term table; the table in `core.Term`,
+    not this cache, makes every reading of a name one object."""
     return Term(name, infer_kind(name))
 
 

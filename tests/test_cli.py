@@ -9,9 +9,11 @@ import pytest
 
 import ctxdl
 from ctxdl import cli
+from ctxdl.annotation import AnnotatedOntology
 from ctxdl.cli import run
 from ctxdl.semantics import is_model
-from ctxdl.textio import parse
+from ctxdl.strategies import Strategy, combine_contexts
+from ctxdl.textio import parse, serialize
 
 IRREFLEXIVE = """ontology irreflexive {
   exists(capitalOf, top) sub forall(inv(capitalOf), bottom) .
@@ -212,6 +214,23 @@ class TestCombine:
         [onto] = parse(open(out).read()).ontologies()
         names = {t.name for t in onto.signature}
         assert "capitalOf@CA" in names and "capitalOf@CB" in names
+
+    def test_a_file_named_in_several_pairs_is_parsed_once(self, files, tmp_path, monkeypatch):
+        contexts = []
+        for i in range(3):
+            ctx = tmp_path / f"ctx{i}.dl"
+            ctx.write_text(f"annotation C{i} anchor a{i} {{\n  source(a{i}, doc{i}) .\n  Wiki(doc{i}) .\n}}\n")
+            contexts.append(str(ctx))
+        parses = []
+        monkeypatch.setattr(cli, "parse", lambda text: parses.append(text) or parse(text))
+        out = tmp_path / "combined.dl"
+        pairs = [arg for ctx in contexts for arg in ("--pair", f"{files['premise.dl']}:{ctx}")]
+        assert run(["combine", "--strategy", "ndterms", *pairs, "-o", str(out)]) == 0
+        assert len(parses) == len(contexts) + 1
+        # Byte-identical to combining one fresh parse per pair.
+        inputs = [AnnotatedOntology(parse(PREMISE).ontologies()[0], parse(Path(ctx).read_text()).annotations()[0])
+                  for ctx in contexts]
+        assert out.read_text() == serialize(combine_contexts(inputs, Strategy.ND_TERMS), "combined")
 
 
 class TestAtomicOutput:

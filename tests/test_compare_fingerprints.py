@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -144,3 +147,17 @@ def test_different_calls_fail(tmp_path, capsys):
     code, out = run(tmp_path, OLD[:2] + OLD[3:], capsys)
     assert code == 1
     assert "different calls" in out
+
+
+@pytest.mark.parametrize("new_calls, status", [(OLD, 0), (changed(0, ticks=[121]), 1)])
+def test_a_reader_that_closes_early_leaves_the_exit_status(tmp_path, new_calls, status):
+    # As `... | head -4` does when the reader is gone before the summary is written.
+    old, new = write(tmp_path / "old", OLD), write(tmp_path / "new", new_calls)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, str(SCRIPT), str(old), str(new)], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (status, "")

@@ -1,3 +1,4 @@
+import copy
 import os
 import pickle
 import random
@@ -77,13 +78,17 @@ def test_one_whitespace_rule_for_term_names_and_context_ids(name):
 
 
 class TestTermContract:
-    """Equality is on name and kind; the hash is the name's; the printed
-    form and every id derived from it are as before the hash was."""
+    """One object per name and kind; the printed form and every id derived
+    from it are as before terms were hash-consed."""
 
     def test_equal_terms_hash_equal(self):
         for kind in TermKind:
+            assert Term("babylon", kind) is Term("babylon", kind)
             assert Term("babylon", kind) == Term("babylon", kind)
-            assert hash(Term("babylon", kind)) == hash(Term("babylon", kind)) == hash("babylon")
+            assert hash(Term("babylon", kind)) == hash(Term("babylon", kind))
+        assert Term.nc("babylon") is Term("babylon") is Term("babylon", TermKind.NON_CONTEXTUAL)
+        assert Term.ctx("babylon") is Term("babylon", TermKind.CONTEXTUAL)
+        assert Term.anchor("babylon") is Term("babylon", TermKind.ANCHOR)
 
     def test_kind_separates_terms_of_one_name(self):
         plain, contextual = Term("x", TermKind.NON_CONTEXTUAL), Term("x", TermKind.CONTEXTUAL)
@@ -107,10 +112,21 @@ class TestTermContract:
         assert stable_hash((rewritten.axioms, tuple(rewritten.sorted_signature()))) == "9fa22641"
 
     def test_pickle_round_trip(self):
+        # Unpickling and copying return the same object.
         for term in (Term.nc("babylon"), Term.ctx("capital@CA"), Term.anchor("ctx@CA")):
-            again = pickle.loads(pickle.dumps(term))
-            assert again == term and hash(again) == hash(term)
-            assert again.kind is term.kind
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(term, protocol)) is term
+            assert copy.copy(term) is term and copy.deepcopy(term) is term
+        axiom = ConceptAssert(ConceptAtom(Term.ctx("capital@CA")), Term.nc("babylon"))
+        assert copy.deepcopy(axiom).individual is axiom.individual
+
+    def test_terms_are_immutable(self):
+        term = Term.nc("babylon")
+        with pytest.raises(AttributeError):
+            term.name = "ur"
+        with pytest.raises(AttributeError):
+            del term.kind
+        assert term.name == "babylon" and term.sort_key() == ("babylon", "nc")
 
 
 def test_nominals_invariants():
@@ -187,6 +203,15 @@ def test_ontology_accepts_extra_signature_terms():
     onto = Ontology([ConceptAssert(ConceptAtom(Term.nc("C")), Term.nc("x"))], [extra])
     assert extra in onto.signature
     assert Term.nc("C") in onto.signature
+
+
+def test_ontology_hash_is_kept_but_not_pickled():
+    onto = Ontology([ConceptAssert(ConceptAtom(Term.nc("C")), Term.nc("x"))], [Term.nc("declared")])
+    assert hash(onto) == hash((onto.axioms, onto.signature)) == hash(Ontology(onto.axioms, onto.signature))
+    assert "_hash" in vars(onto)
+    # It follows the terms' addresses, which another process does not share.
+    again = pickle.loads(pickle.dumps(onto))
+    assert again == onto and "_hash" not in vars(again)
 
 
 def test_stable_hash_is_deterministic():

@@ -1371,3 +1371,42 @@ def test_witness_does_not_depend_on_the_hash_seed():
     (witness,) = witnesses
     assert "groups domain 2" in witness and "countermodel domain 2" in witness
     assert "top K [0]" in witness and "top L []" in witness
+
+
+# Creates the input's terms before the witness script does, in a shuffled
+# order and with other terms and tuples allocated between them, so that the
+# terms, one object per name and kind, sit at other addresses.
+TERMS_AT_OTHER_ADDRESSES = """
+import random
+from ctxdl.core import Term, TermKind
+
+rng = random.Random({seed})
+made = [(name, kind) for name in ("A", "B", "C", "E", "r", "s", "u", "v", "w", "x", "y", "z", "fresh")
+        for kind in TermKind]
+rng.shuffle(made)
+kept = []
+for i, (name, kind) in enumerate(made):
+    kept.append([Term(f"pad{{i}}x{{j}}") for j in range(rng.randrange(4))])
+    kept.append([(i, j, name) for j in range(rng.randrange(4))])
+    kept.append(Term(name, kind))
+print([t.name for t in {{Term.nc(name) for name, _ in made}}])
+"""
+
+
+def test_witness_does_not_depend_on_term_addresses():
+    # A term hashes by its address, so a set of terms iterates in the order
+    # of their addresses, which follows the order the terms were made in.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": "0"}
+
+    def run(prelude):
+        return subprocess.run([sys.executable, "-c", prelude + WITNESSES_UNDER_A_HASH_SEED],
+                              capture_output=True, text=True, env=env, timeout=120, check=True).stdout
+
+    plain, orders = run(""), set()
+    for seed in range(4):
+        order, _, witness = run(TERMS_AT_OTHER_ADDRESSES.format(seed=seed)).partition("\n")
+        orders.add(order)
+        assert witness == plain
+    assert len(orders) > 1  # the preludes did move the terms

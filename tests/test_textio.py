@@ -382,6 +382,6 @@ class TestInterning:
         second = parse("annotation B anchor babylon { capital@CA(babylon, y) . }\n").annotations()[0].abox[0]
         assert first.subject is second.subject
         assert first.role.term is second.role.term
-        assert first.subject == Term.nc("babylon") and hash(first.subject) == hash(Term.nc("babylon"))
-        assert first.role.term == Term.ctx("capital@CA")
+        assert first.subject is Term.nc("babylon") and hash(first.subject) == hash(Term.nc("babylon"))
+        assert first.role.term is Term.ctx("capital@CA")
         assert first.object != second.object

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import typing
 import warnings
 
 import pytest
@@ -8,6 +9,7 @@ from ctxdl import search, verify
 from ctxdl.annotation import AnnotatedOntology, ContextualAnnotation, validate_annotation
 from ctxdl.core import (
     AtMost,
+    Axiom,
     Bottom,
     ConceptNeg,
     ConceptSub,
@@ -40,6 +42,8 @@ from ctxdl.verify import (
 )
 
 from conftest import cassert, catom, nc, rassert, ratom
+
+AXIOM_FORMS = typing.get_args(Axiom)
 
 REIFICATION = (
     Strategy.RDF_REIFICATION,
@@ -384,6 +388,21 @@ class TestPremiseMemo:
         assert searches(4, None) == 2
         assert searches(3, 5000) == 2
         assert searches(4, None) == searches(3, 5000) == 1
+
+    def test_a_lookup_does_not_rehash_the_premise(self, monkeypatch, irreflexivity_ontology):
+        verify._PREMISES.clear()
+        premise, equal = Ontology(irreflexivity_ontology.axioms), Ontology(irreflexivity_ontology.axioms)
+        first = verify._premise_verdict(premise, None, 3, None)
+        assert isinstance(first, NoModelUpTo)
+        hashed = []
+        for form in AXIOM_FORMS:
+            monkeypatch.setattr(form, "__hash__", lambda axiom, h=form.__hash__: hashed.append(axiom) or h(axiom))
+        assert verify._premise_verdict(premise, None, 3, None) is first
+        assert hashed == []
+        # An equal premise is found by value, hashing its axioms once.
+        assert verify._premise_verdict(equal, None, 3, None) is first
+        assert verify._premise_verdict(equal, None, 3, None) is first
+        assert len(hashed) == len(premise.axioms)
 
     def test_a_consistent_premise_is_searched_each_time(self, monkeypatch, babylon_annotation):
         onto = Ontology([rassert("capital", "babylon", "babylonianEmpire")])
